@@ -11,21 +11,27 @@ The inner integral is itself done by quadrature rather than by its
 closed form, since the closed form would smuggle the answer in.  Both
 axes use the same panel count.  reference_log exposes the platform
 libm logarithm as a second, cheaper oracle.
+
+numpy is imported only when the quadrature runs, so importing the
+package (and every CLI command but ``check integral``) does not load it.
 """
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .series import PositiveInput, _positive_value
 
 __all__ = ["QuadratureConfig", "double_integral_residual", "reference_log"]
 
 
+# One call holds three (panels + 1)**2 float64 arrays, 24 * (panels + 1)**2
+# bytes: about 403 MB at this bound.
+MAX_PANELS = 4096
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Panel count per axis for composite Simpson; must be even, >= 2."""
+    """Panel count per axis for composite Simpson; even, 2 <= panels <= MAX_PANELS."""
 
     panels: int = 1024
 
@@ -34,9 +40,13 @@ class QuadratureConfig:
             raise ValueError(f"panels must be an integer, got {self.panels!r}")
         if self.panels < 2 or self.panels % 2 != 0:
             raise ValueError(f"panels must be an even integer >= 2, got {self.panels}")
+        if self.panels > MAX_PANELS:
+            raise ValueError(f"panels must be at most {MAX_PANELS}, got {self.panels}")
 
 
-def _simpson_weights(panels: int) -> np.ndarray:
+def _simpson_weights(panels: int) -> "numpy.ndarray":
+    import numpy as np
+
     w = np.ones(panels + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
@@ -52,6 +62,8 @@ def double_integral_residual(x: "float | PositiveInput", config: "QuadratureConf
     rounding error, and the error falls off as panels**-4 for x in a
     moderate range around 1.
     """
+    import numpy as np
+
     xv = _positive_value(x)
     cfg = config if config is not None else QuadratureConfig()
     n = cfg.panels

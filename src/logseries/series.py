@@ -24,12 +24,28 @@ itself: fl(x - 1) would discard the low bits of x, an absolute error of
 order eps that no later step can recover and that inflates to eps/x in
 the computed logarithm.  Once the repeated root reaches [1/2, 1) the
 subtraction r - 1 is exact and the recurrence takes over.
+
+Every public function here validates x once and is then a view over
+one walk of that chain, :func:`_decrements`.  The walk ends at the first
+step m whose denominator sqrt(1 + u_m) + 1 rounds to exactly 2, which
+happens once |u_m| is below about 2**-52.  u only shrinks toward 0 from
+there, and rounding is monotone, so every later denominator is 2 as well
+and every later step is an exact halving.  The rest of the chain is
+therefore scaling by powers of two:
+
+    u_k = u_m * 2**(m-k),  term_k = u_m**2 * 2**(2m-k-1),  D_k = 2**m * u_m
+
+for k >= m.  These are the doubles the step-by-step chain gives while
+u_k**2 is a normal double, and they stay right where that chain would
+underflow (it gives D_1100 = 0 at x = 2).  D_k is constant past m
+because the true D_k = log(x) * (1 + u_k/2 + ...) moves by a relative
+u_k/2 or less, which past |u_m| < 2**-52 is below half an ulp.  The walk
+takes at most about 70 steps for any x and n.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 __all__ = [
     "PositiveInput",
@@ -55,11 +71,10 @@ class PositiveInput:
     x: float
 
     def __post_init__(self) -> None:
-        if isinstance(self.x, bool) or not isinstance(self.x, (int, float)):
-            raise TypeError(f"x must be a real number, got {type(self.x).__name__}")
-        object.__setattr__(self, "x", float(self.x))
-        if not math.isfinite(self.x) or self.x <= 0.0:
-            raise ValueError(f"x must be a finite positive real, got {self.x!r}")
+        x = _real(self.x, "x")
+        if x <= 0.0:
+            raise ValueError(f"x must be a finite positive real, got {x!r}")
+        object.__setattr__(self, "x", x)
 
     def __float__(self) -> float:
         return self.x
@@ -126,7 +141,29 @@ class LogApproxResult:
     converged: bool
 
 
+_DEFAULT_CONFIG = EvalConfig()
+
+
+def _real(value, name: str) -> float:
+    """``value`` as a finite float.
+
+    TypeError unless it is an int or a float (bool excluded); ValueError
+    for NaN, the infinities and ints too large for a float.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be a finite real, got an int beyond the float range") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite real, got {value!r}")
+    return value
+
+
 def _positive_value(x: "float | PositiveInput") -> float:
+    if type(x) is float and 0.0 < x < math.inf:
+        return x
     if isinstance(x, PositiveInput):
         return x.x
     return PositiveInput(x).x
@@ -155,52 +192,58 @@ def decrement_step(u: float) -> float:
     u >= 0 (for -1 < u < 0 the magnitude still shrinks, the factor
     tending to 1/2 as u -> 0).
     """
-    if isinstance(u, bool) or not isinstance(u, (int, float)):
-        raise TypeError(f"u must be a real number, got {type(u).__name__}")
-    u = float(u)
-    if not math.isfinite(u) or u <= -1.0:
+    u = _real(u, "u")
+    if u <= -1.0:
         raise ValueError(f"u must be a finite real > -1, got {u!r}")
     return u / (math.sqrt(1.0 + u) + 1.0)
 
 
-def _decrements(x: float) -> Iterator[float]:
-    """Yield u_0, u_1, u_2, ... for u_k = x**(2**-k) - 1, indefinitely.
+def _decrements(x: float, n: int) -> list[float]:
+    """[u_0, ..., u_m] for u_k = x**(2**-k) - 1, with m <= n; x is not checked.
 
     For x >= 1/2 the start is exact (Sterbenz: x - 1 rounds to itself on
     [1/2, 2], and for larger x the leading digits survive).  For x < 1/2
     the leading entries are taken as fl(r - 1) of the repeated square
     root r of x, and the recurrence only starts once r >= 1/2, where the
     subtraction is again exact.
+
+    The walk ends before n at the first step whose denominator is exactly
+    2.0: from there on every step is an exact halving, so u_k for k > m
+    is ldexp(u_m, m - k).
     """
-    if x >= 0.5:
-        u = x - 1.0
-    else:
-        r = x
-        while r < 0.5:
-            yield r - 1.0
-            r = math.sqrt(r)
-        u = r - 1.0
-    yield u
-    while True:
-        u = decrement_step(u)
-        yield u
+    sqrt = math.sqrt
+    us = []
+    r = x
+    while r < 0.5:
+        us.append(r - 1.0)
+        r = sqrt(r)
+    u = r - 1.0
+    us.append(u)
+    for _ in range(n + 1 - len(us)):
+        d = sqrt(1.0 + u) + 1.0
+        if d == 2.0:
+            break
+        u /= d
+        us.append(u)
+    del us[n + 1:]
+    return us
 
 
 def iterate_decrements(x: "float | PositiveInput", n: int) -> list[DecrementState]:
     """Return [(0, u_0), (1, u_1), ..., (n, u_n)] for u_k = x**(2**-k) - 1."""
     xv = _positive_value(x)
     _nonneg_int(n, "n")
-    chain = islice(_decrements(xv), n + 1)
-    return [DecrementState(k, u) for k, u in enumerate(chain)]
+    us = _decrements(xv, n)
+    m = len(us) - 1
+    us += [math.ldexp(us[m], m - k) for k in range(m + 1, n + 1)]
+    return [DecrementState(k, u) for k, u in enumerate(us)]
 
 
 def term(k: int, u_k: float) -> float:
     """Series term 2**(k-1) * u_k**2, scaled exactly via ldexp."""
     _positive_int(k, "k")
-    if isinstance(u_k, bool) or not isinstance(u_k, (int, float)):
-        raise TypeError(f"u_k must be a real number, got {type(u_k).__name__}")
-    u_k = float(u_k)
-    if not math.isfinite(u_k) or u_k <= -1.0:
+    u_k = _real(u_k, "u_k")
+    if u_k <= -1.0:
         raise ValueError(f"u_k must be a finite real > -1, got {u_k!r}")
     return math.ldexp(u_k * u_k, k - 1)
 
@@ -213,10 +256,14 @@ def partial_sum(x: "float | PositiveInput", n: int) -> float:
     """
     xv = _positive_value(x)
     _nonneg_int(n, "n")
+    ldexp = math.ldexp
+    us = _decrements(xv, n)
+    m = len(us) - 1
     s = 0.0
-    for k, u in enumerate(islice(_decrements(xv), n + 1)):
-        if k >= 1:
-            s += math.ldexp(u * u, k - 1)
+    for k in range(1, n + 1):
+        j = k if k <= m else m
+        u = us[j]
+        s += ldexp(u * u, 2 * j - k - 1)
     return s
 
 
@@ -224,8 +271,9 @@ def difference_quotient(x: "float | PositiveInput", n: int) -> float:
     """D_n = 2**n * u_n, the difference-quotient approximation to log(x)."""
     xv = _positive_value(x)
     _nonneg_int(n, "n")
-    u = next(islice(_decrements(xv), n, None))
-    return math.ldexp(u, n)
+    us = _decrements(xv, n)
+    m = len(us) - 1  # past m, u_n = ldexp(u_m, m - n) and so D_n = D_m
+    return math.ldexp(us[m], m)
 
 
 def eval_log(x: "float | PositiveInput", config: "EvalConfig | None" = None) -> LogApproxResult:
@@ -239,26 +287,44 @@ def eval_log(x: "float | PositiveInput", config: "EvalConfig | None" = None) -> 
     exception is raised for that case.
     """
     xv = _positive_value(x)
-    cfg = config if config is not None else EvalConfig()
-    chain = _decrements(xv)
-    next(chain)  # u_0 contributes no term
+    cfg = _DEFAULT_CONFIG if config is None else config
+    tol = cfg.tol
+    safety = cfg.safety_factor
+    max_terms = cfg.max_terms
+    ldexp = math.ldexp
+    us = _decrements(xv, max_terms)
+    m = len(us) - 1
     s = 0.0
-    u = 0.0
     tail = math.inf
     n = 0
-    for n in range(1, cfg.max_terms + 1):
-        u = next(chain)
-        t = math.ldexp(u * u, n - 1)
+    for n in range(1, m + 1):
+        u = us[n]
+        t = ldexp(u * u, n - 1)
         s += t
-        tail = cfg.safety_factor * t
-        if tail <= cfg.tol:
+        tail = safety * t
+        if tail <= tol:
             break
+    else:
+        # Past the walk's end u_n = ldexp(u_m, m - n), so term_n = ldexp(u_m**2, 2m - n - 1).
+        u2 = us[m] * us[m]
+        for n in range(m + 1, max_terms + 1):
+            t = ldexp(u2, 2 * m - n - 1)
+            s += t
+            tail = safety * t
+            if tail <= tol:
+                break
+    j = min(n, m)
+    log_value = ldexp(us[j], j)
+    if not math.isfinite(s):
+        # Near DBL_MAX term 1 overflows.  x - 1 dwarfs log(x) there, so the
+        # identity S_n + D_n = x - 1 gives the residual without cancellation.
+        s = (xv - 1.0) - log_value
     return LogApproxResult(
-        log_value=math.ldexp(u, n),
+        log_value=log_value,
         residual=s,
         terms_used=n,
         tail_estimate=tail,
-        converged=tail <= cfg.tol,
+        converged=tail <= tol,
     )
 
 
@@ -271,8 +337,10 @@ def tail_ratio(x: "float | PositiveInput", k: int) -> float:
     _positive_int(k, "k")
     if xv == 1.0:
         raise ValueError("tail_ratio is undefined at x = 1 (all terms are zero)")
-    u = next(islice(_decrements(xv), k, None))
-    return math.ldexp(u * u, 2 * k - 1)
+    us = _decrements(xv, k)
+    m = len(us) - 1  # past m, 2**(2k-1) * u_k**2 = 2**(2m-1) * u_m**2
+    u = us[m]
+    return math.ldexp(u * u, 2 * m - 1)
 
 
 def trace(x: "float | PositiveInput", n: int) -> list[TraceRow]:
@@ -283,13 +351,15 @@ def trace(x: "float | PositiveInput", n: int) -> list[TraceRow]:
     """
     xv = _positive_value(x)
     _nonneg_int(n, "n")
-    chain = _decrements(xv)
-    u0 = next(chain)
-    rows = [TraceRow(0, u0, 0.0, 0.0, u0)]
+    ldexp = math.ldexp
+    us = _decrements(xv, n)
+    m = len(us) - 1
+    rows = [TraceRow(0, us[0], 0.0, 0.0, us[0])]
     s = 0.0
     for k in range(1, n + 1):
-        u = next(chain)
-        t = math.ldexp(u * u, k - 1)
+        j = k if k <= m else m
+        u = us[j]
+        t = ldexp(u * u, 2 * j - k - 1)
         s += t
-        rows.append(TraceRow(k, u, t, s, math.ldexp(u, k)))
+        rows.append(TraceRow(k, ldexp(u, j - k), t, s, ldexp(u, j)))
     return rows

@@ -156,6 +156,12 @@ def test_check_integral_odd_panels_exits_one():
     assert run_cli("check", "integral", "--x", "2", "--panels", "3").returncode == 1
 
 
+def test_check_integral_panels_above_bound_exits_one():
+    proc = run_cli("check", "integral", "--x", "2", "--panels", "4098")
+    assert proc.returncode == 1
+    assert b"at most 4096" in proc.stderr
+
+
 def test_check_randomized_sweeps_pass():
     proc = run_cli("check", "amgm")
     assert proc.returncode == 0

@@ -1,11 +1,15 @@
 """Tests for the quadrature and libm oracles."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import mpmath
 import pytest
 
-from logseries.oracles import QuadratureConfig, double_integral_residual, reference_log
+from logseries.oracles import MAX_PANELS, QuadratureConfig, double_integral_residual, reference_log
 from logseries.series import eval_log
 
 # Correctly rounded double of log(2), frozen from a 60-digit mpmath value.
@@ -91,3 +95,20 @@ def test_reference_log_domain():
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             reference_log(bad)
+
+
+def test_panels_above_bound_refused():
+    # Refused in the config, before any array exists; no large count is run.
+    assert MAX_PANELS == 4096
+    assert QuadratureConfig(MAX_PANELS).panels == MAX_PANELS
+    for bad in (MAX_PANELS + 2, 65536):
+        with pytest.raises(ValueError):
+            QuadratureConfig(bad)
+
+
+def test_import_does_not_load_numpy():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = "import logseries, logseries.cli, sys; assert 'numpy' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()

@@ -1,6 +1,9 @@
 """Unit tests for the decrement chain, terms, partial sums, and eval_log."""
 
+import itertools
 import math
+import random
+import sys
 
 import mpmath
 import pytest
@@ -18,6 +21,9 @@ from logseries.series import (
     term,
     trace,
 )
+from logseries.series import _decrements
+
+DBL_MAX = sys.float_info.max
 
 # Correctly rounded doubles of exact targets, frozen from 60-digit
 # mpmath evaluations.
@@ -341,3 +347,123 @@ def test_property_decrement_step_contracts(u):
 @given(st.floats(min_value=1e-4, max_value=1e4))
 def test_property_eval_log_deterministic(x):
     assert eval_log(x) == eval_log(x)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: eval_log(10**400),
+        lambda: PositiveInput(-(10**400)),
+        lambda: trace(10**400, 2),
+        lambda: term(1, 10**400),
+        lambda: decrement_step(10**400),
+    ],
+    ids=["eval_log", "PositiveInput", "trace", "term", "decrement_step"],
+)
+def test_int_beyond_float_range_is_a_value_error(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_eval_log_at_dbl_max_keeps_the_identity():
+    # Term 1 overflows here (fl(u_1) rounds up to 2**512); the residual
+    # must still be finite and close log_value + residual = x - 1.
+    result = eval_log(DBL_MAX)
+    assert result.converged
+    assert math.isfinite(result.residual)
+    assert result.log_value == pytest.approx(math.log(DBL_MAX), rel=1e-15)
+    assert result.log_value + result.residual == pytest.approx(DBL_MAX - 1.0, rel=1e-12)
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except ArithmeticError as exc:
+        return type(exc).__name__
+
+
+def _reference_chain(x, n):
+    """u_0..u_n step by step: square roots below 1/2, then decrement_step."""
+    us = []
+    r = x
+    while r < 0.5:
+        us.append(r - 1.0)
+        r = math.sqrt(r)
+    us.append(r - 1.0)
+    while len(us) <= n:
+        us.append(decrement_step(us[-1]))
+    return us[: n + 1]
+
+
+def _reference_eval_log(x):
+    # The term loop of eval_log at the default config, one step per term.
+    us = _reference_chain(x, 96)
+    s = 0.0
+    u = 0.0
+    tail = math.inf
+    n = 0
+    for n in range(1, 97):
+        u = us[n]
+        t = math.ldexp(u * u, n - 1)
+        s += t
+        tail = 2.0 * t
+        if tail <= 1e-14:
+            break
+    log_value = math.ldexp(u, n)
+    if not math.isfinite(s):
+        s = (x - 1.0) - log_value
+    return (log_value, s, n, tail, tail <= 1e-14)
+
+
+def test_walk_stops_where_steps_become_exact_halvings():
+    for x in (1e-300, 0.3, 2.0, 1e300):
+        us = _decrements(x, 10**6)
+        assert decrement_step(us[-1]) == us[-1] / 2
+        assert decrement_step(us[-2]) == us[-1]
+
+
+def test_walk_length_bounded_over_double_range():
+    # A count guard: the walk is O(1) in n, whatever the x.
+    rng = random.Random(20)
+    xs = [5e-324, sys.float_info.min, 0.5, math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0), 2.0, DBL_MAX]
+    xs += [math.exp(rng.uniform(-744.0, 709.7)) for _ in range(2000)]
+    assert max(len(_decrements(x, 10**6)) for x in xs) <= 70
+
+
+@pytest.mark.parametrize("n", [1070, 1100, 5000])
+def test_difference_quotient_past_underflow(n):
+    # u_n itself is subnormal or zero here; D_n = 2**m * u_m stays put.
+    assert difference_quotient(2.0, n) == pytest.approx(math.log(2.0), rel=1e-15, abs=0.0)
+
+
+def test_tail_ratio_and_trace_past_underflow():
+    half_log2_squared = 0.5 * math.log(2.0) ** 2
+    ratio = tail_ratio(2.0, 1100)
+    # The ratio is D_m**2 / 2, so it carries twice the relative error of
+    # D_m (6.4e-16 at x = 2, the chain's rounding over its 52 steps): 1.3e-15.
+    # The step-by-step chain gives the same double at k = 60.
+    assert ratio == math.ldexp(_reference_chain(2.0, 60)[60] ** 2, 119)
+    assert ratio == pytest.approx(half_log2_squared, rel=2e-15, abs=0.0)
+    assert trace(2.0, 1100)[-1].diff_quotient == difference_quotient(2.0, 1100)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=0.0, max_value=DBL_MAX, exclude_min=True), st.integers(min_value=0, max_value=80))
+def test_property_views_bit_identical_to_stepwise_chain(x, n):
+    us = _reference_chain(x, n)
+    terms = [math.ldexp(u * u, k - 1) for k, u in enumerate(us) if k]
+    sums = list(itertools.accumulate(terms, initial=0.0))
+    quotients = [math.ldexp(u, k) for k, u in enumerate(us)]
+    # repr tells -0.0 from 0.0 and prints every double exactly.
+    assert repr([tuple(s) for s in iterate_decrements(x, n)]) == repr(list(enumerate(us)))
+    rows = list(zip(range(n + 1), us, [0.0, *terms], sums, quotients))
+    assert repr([tuple(r) for r in trace(x, n)]) == repr(rows)
+    assert repr(partial_sum(x, n)) == repr(sums[n])
+    assert repr(difference_quotient(x, n)) == repr(quotients[n])
+    if n >= 1 and x != 1.0:
+        # Both sides raise OverflowError at k = 1 for x near DBL_MAX, where
+        # 2 * u_1**2 is beyond the float range.
+        expected = _outcome(math.ldexp, us[n] * us[n], 2 * n - 1)
+        assert _outcome(tail_ratio, x, n) == expected
+    r = eval_log(x)
+    assert repr((r.log_value, r.residual, r.terms_used, r.tail_estimate, r.converged)) == repr(_reference_eval_log(x))
