@@ -16,10 +16,11 @@ default seed so that reruns are reproducible bit for bit.
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .series import PositiveInput, _positive_value, eval_log
+from .series import PositiveInput, _positive_value, _real, eval_log
 
 __all__ = [
     "AmgmReport",
@@ -103,12 +104,15 @@ def concavity_check(x: "float | PositiveInput", y: "float | PositiveInput", lam:
     """
     xv = _positive_value(x)
     yv = _positive_value(y)
-    if isinstance(lam, bool) or not isinstance(lam, (int, float)):
-        raise TypeError(f"lam must be a real number, got {type(lam).__name__}")
-    lam = float(lam)
-    if not math.isfinite(lam) or not 0.0 <= lam <= 1.0:
+    lam = _real(lam, "lam")
+    if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lam must lie in [0, 1], got {lam!r}")
     mix = lam * xv + (1.0 - lam) * yv
+    if mix < sys.float_info.min and 0.0 < lam < 1.0:
+        # The mix underflowed, to 0 or to a subnormal short of low bits.  The
+        # margin is unchanged by scaling x and y (both < 2**52 here) by 2**64.
+        xv, yv = xv * 2.0**64, yv * 2.0**64
+        mix = lam * xv + (1.0 - lam) * yv
     return eval_log(mix).log_value - (lam * eval_log(xv).log_value + (1.0 - lam) * eval_log(yv).log_value)
 
 
@@ -119,8 +123,19 @@ def amgm_check(values: Sequence[float]) -> AmgmReport:
     vs = [_positive_value(v) for v in values]
     if not vs:
         raise ValueError("values must be nonempty")
-    am = math.fsum(vs) / len(vs)
-    gm = math.exp(math.fsum(eval_log(v).log_value for v in vs) / len(vs))
+    n = len(vs)
+    mean_log = math.fsum(eval_log(v).log_value for v in vs) / n
+    try:
+        am = math.fsum(vs) / n
+        gm = math.exp(mean_log)
+    except OverflowError:
+        # Near DBL_MAX the sum or exp(mean_log) passes the float range, yet
+        # both means are <= max(vs): sum on a 2**-e scale, square a half root.
+        e = n.bit_length()
+        top = max(vs)
+        am = min(top, math.fsum([math.ldexp(v, -e) for v in vs]) / n * 2.0**e)
+        half = math.exp(mean_log / 2.0)
+        gm = min(top, half * half)
     slack = EQUALITY_TOL * am
     return AmgmReport(
         arithmetic_mean=am,

@@ -25,8 +25,10 @@ order eps that no later step can recover and that inflates to eps/x in
 the computed logarithm.  Once the repeated root reaches [1/2, 1) the
 subtraction r - 1 is exact and the recurrence takes over.
 
-Every public function here validates x once and is then a view over
-one walk of that chain, :func:`_decrements`.  The walk ends at the first
+Every public function here validates x once and is then a view over one
+pass of :func:`_walk`, which carries u_k, the term 2**(k-1) * u_k**2 (the
+power of two kept by doubling, so scaling by it is exact), the running
+sum S_k and the stopping test together.  The chain itself ends at the first
 step m whose denominator sqrt(1 + u_m) + 1 rounds to exactly 2, which
 happens once |u_m| is below about 2**-52.  u only shrinks toward 0 from
 there, and rounding is monotone, so every later denominator is 2 as well
@@ -39,7 +41,7 @@ for k >= m.  These are the doubles the step-by-step chain gives while
 u_k**2 is a normal double, and they stay right where that chain would
 underflow (it gives D_1100 = 0 at x = 2).  D_k is constant past m
 because the true D_k = log(x) * (1 + u_k/2 + ...) moves by a relative
-u_k/2 or less, which past |u_m| < 2**-52 is below half an ulp.  The walk
+u_k/2 or less, which past |u_m| < 2**-52 is below half an ulp.  The chain
 takes at most about 70 steps for any x and n.
 """
 
@@ -124,8 +126,7 @@ class TraceRow(NamedTuple):
     diff_quotient: float
 
 
-@dataclass(frozen=True)
-class LogApproxResult:
+class LogApproxResult(NamedTuple):
     """Outcome of :func:`eval_log`.
 
     ``log_value`` approximates log(x), ``residual`` approximates
@@ -169,18 +170,11 @@ def _positive_value(x: "float | PositiveInput") -> float:
     return PositiveInput(x).x
 
 
-def _nonneg_int(value: int, name: str) -> int:
+def _int_at_least(value: int, name: str, low: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
-    return value
-
-
-def _positive_int(value: int, name: str) -> int:
-    _nonneg_int(value, name)
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
     return value
 
 
@@ -198,41 +192,70 @@ def decrement_step(u: float) -> float:
     return u / (math.sqrt(1.0 + u) + 1.0)
 
 
-def _decrements(x: float, n: int) -> list[float]:
-    """[u_0, ..., u_m] for u_k = x**(2**-k) - 1, with m <= n; x is not checked.
+def _walk(x: float, n: int, tol: float, safety: float, us: "list | None" = None) -> tuple:
+    """One pass over terms 1..n at x (not checked): (k, j, u_j, S_k, safety * term_k).
 
-    For x >= 1/2 the start is exact (Sterbenz: x - 1 rounds to itself on
-    [1/2, 2], and for larger x the leading digits survive).  For x < 1/2
-    the leading entries are taken as fl(r - 1) of the repeated square
-    root r of x, and the recurrence only starts once r >= 1/2, where the
-    subtraction is again exact.
-
-    The walk ends before n at the first step whose denominator is exactly
-    2.0: from there on every step is an exact halving, so u_k for k > m
-    is ldexp(u_m, m - k).
+    The pass stops at the first k with safety * term_k <= tol (never if
+    tol < 0) or at n; j = min(k, m), m the cutoff.  u_0..u_j go to ``us``
+    if given.  For x < 1/2 the leading u_k are fl(r - 1) of repeated square
+    roots r of x until r >= 1/2, where r - 1 is exact (Sterbenz).
     """
     sqrt = math.sqrt
-    us = []
     r = x
-    while r < 0.5:
-        us.append(r - 1.0)
-        r = sqrt(r)
-    u = r - 1.0
-    us.append(u)
-    for _ in range(n + 1 - len(us)):
-        d = sqrt(1.0 + u) + 1.0
-        if d == 2.0:
-            break
-        u /= d
+    u = x - 1.0
+    if us is not None:
         us.append(u)
-    del us[n + 1:]
+    s = 0.0
+    tail = math.inf
+    p = 0.5  # 2**(k-1) by doubling: u * u * p is the double ldexp(u * u, k - 1)
+    k = 0
+    for k in range(1, n + 1):
+        if r < 0.5:
+            r = sqrt(r)
+            u = r - 1.0
+        else:
+            d = sqrt(1.0 + u) + 1.0
+            if d == 2.0:
+                k -= 1
+                break
+            u /= d
+        p += p
+        t = u * u * p
+        s += t
+        tail = safety * t
+        if us is not None:
+            us.append(u)
+        if tail <= tol:
+            return k, k, u, s, tail
+    j = k
+    # Past the cutoff u_k = ldexp(u_j, j - k), so term_k = ldexp(u_j**2, 2j - k - 1).
+    ldexp = math.ldexp
+    u2 = u * u
+    for k in range(j + 1, n + 1):
+        t = ldexp(u2, 2 * j - k - 1)
+        if tol < 0.0 and s + t == s:
+            # Smaller terms cannot move s either (rounding is monotone).
+            k = n
+            tail = safety * ldexp(u2, 2 * j - n - 1)
+            break
+        s += t
+        tail = safety * t
+        if tail <= tol:
+            break
+    return k, j, u, s, tail
+
+
+def _decrements(x: float, n: int) -> list[float]:
+    """[u_0, ..., u_j] for u_k = x**(2**-k) - 1, j = min(n, m); x is not checked."""
+    us = []
+    _walk(x, n, -1.0, 1.0, us)
     return us
 
 
 def iterate_decrements(x: "float | PositiveInput", n: int) -> list[DecrementState]:
     """Return [(0, u_0), (1, u_1), ..., (n, u_n)] for u_k = x**(2**-k) - 1."""
     xv = _positive_value(x)
-    _nonneg_int(n, "n")
+    _int_at_least(n, "n", 0)
     us = _decrements(xv, n)
     m = len(us) - 1
     us += [math.ldexp(us[m], m - k) for k in range(m + 1, n + 1)]
@@ -240,12 +263,15 @@ def iterate_decrements(x: "float | PositiveInput", n: int) -> list[DecrementStat
 
 
 def term(k: int, u_k: float) -> float:
-    """Series term 2**(k-1) * u_k**2, scaled exactly via ldexp."""
-    _positive_int(k, "k")
+    """Series term 2**(k-1) * u_k**2, scaled exactly via ldexp; ValueError past the float range."""
+    _int_at_least(k, "k", 1)
     u_k = _real(u_k, "u_k")
     if u_k <= -1.0:
         raise ValueError(f"u_k must be a finite real > -1, got {u_k!r}")
-    return math.ldexp(u_k * u_k, k - 1)
+    try:
+        return math.ldexp(u_k * u_k, k - 1)
+    except OverflowError:
+        raise ValueError(f"term({k}, {u_k!r}) is beyond the float range") from None
 
 
 def partial_sum(x: "float | PositiveInput", n: int) -> float:
@@ -254,26 +280,13 @@ def partial_sum(x: "float | PositiveInput", n: int) -> float:
     Nonnegative and nondecreasing in n.  S_0 = 0 by the empty-sum
     convention.
     """
-    xv = _positive_value(x)
-    _nonneg_int(n, "n")
-    ldexp = math.ldexp
-    us = _decrements(xv, n)
-    m = len(us) - 1
-    s = 0.0
-    for k in range(1, n + 1):
-        j = k if k <= m else m
-        u = us[j]
-        s += ldexp(u * u, 2 * j - k - 1)
-    return s
+    return _walk(_positive_value(x), _int_at_least(n, "n", 0), -1.0, 1.0)[3]
 
 
 def difference_quotient(x: "float | PositiveInput", n: int) -> float:
     """D_n = 2**n * u_n, the difference-quotient approximation to log(x)."""
-    xv = _positive_value(x)
-    _nonneg_int(n, "n")
-    us = _decrements(xv, n)
-    m = len(us) - 1  # past m, u_n = ldexp(u_m, m - n) and so D_n = D_m
-    return math.ldexp(us[m], m)
+    _, j, u, _, _ = _walk(_positive_value(x), _int_at_least(n, "n", 0), -1.0, 1.0)
+    return math.ldexp(u, j)  # past m, u_n = ldexp(u_m, m - n) and so D_n = D_m
 
 
 def eval_log(x: "float | PositiveInput", config: "EvalConfig | None" = None) -> LogApproxResult:
@@ -289,58 +302,30 @@ def eval_log(x: "float | PositiveInput", config: "EvalConfig | None" = None) -> 
     xv = _positive_value(x)
     cfg = _DEFAULT_CONFIG if config is None else config
     tol = cfg.tol
-    safety = cfg.safety_factor
-    max_terms = cfg.max_terms
-    ldexp = math.ldexp
-    us = _decrements(xv, max_terms)
-    m = len(us) - 1
-    s = 0.0
-    tail = math.inf
-    n = 0
-    for n in range(1, m + 1):
-        u = us[n]
-        t = ldexp(u * u, n - 1)
-        s += t
-        tail = safety * t
-        if tail <= tol:
-            break
-    else:
-        # Past the walk's end u_n = ldexp(u_m, m - n), so term_n = ldexp(u_m**2, 2m - n - 1).
-        u2 = us[m] * us[m]
-        for n in range(m + 1, max_terms + 1):
-            t = ldexp(u2, 2 * m - n - 1)
-            s += t
-            tail = safety * t
-            if tail <= tol:
-                break
-    j = min(n, m)
-    log_value = ldexp(us[j], j)
+    n, j, u, s, tail = _walk(xv, cfg.max_terms, tol, cfg.safety_factor)
+    log_value = math.ldexp(u, j)
     if not math.isfinite(s):
         # Near DBL_MAX term 1 overflows.  x - 1 dwarfs log(x) there, so the
         # identity S_n + D_n = x - 1 gives the residual without cancellation.
         s = (xv - 1.0) - log_value
-    return LogApproxResult(
-        log_value=log_value,
-        residual=s,
-        terms_used=n,
-        tail_estimate=tail,
-        converged=tail <= tol,
-    )
+    return LogApproxResult(log_value, s, n, tail, tail <= tol)
 
 
 def tail_ratio(x: "float | PositiveInput", k: int) -> float:
     """term_k * 2**k, which converges to log(x)**2 / 2 as k grows.
 
-    Undefined at x = 1, where every term vanishes.
+    Undefined at x = 1, where every term vanishes; ValueError past the
+    float range (k = 1 near DBL_MAX).
     """
     xv = _positive_value(x)
-    _positive_int(k, "k")
+    _int_at_least(k, "k", 1)
     if xv == 1.0:
         raise ValueError("tail_ratio is undefined at x = 1 (all terms are zero)")
-    us = _decrements(xv, k)
-    m = len(us) - 1  # past m, 2**(2k-1) * u_k**2 = 2**(2m-1) * u_m**2
-    u = us[m]
-    return math.ldexp(u * u, 2 * m - 1)
+    _, j, u, _, _ = _walk(xv, k, -1.0, 1.0)
+    try:
+        return math.ldexp(u * u, 2 * j - 1)  # past m, 2**(2k-1) * u_k**2 = 2**(2m-1) * u_m**2
+    except OverflowError:
+        raise ValueError(f"tail_ratio({xv!r}, {k}) is beyond the float range") from None
 
 
 def trace(x: "float | PositiveInput", n: int) -> list[TraceRow]:
@@ -350,7 +335,7 @@ def trace(x: "float | PositiveInput", n: int) -> list[TraceRow]:
     S_k + D_k reproduces x - 1 up to accumulated rounding.
     """
     xv = _positive_value(x)
-    _nonneg_int(n, "n")
+    _int_at_least(n, "n", 0)
     ldexp = math.ldexp
     us = _decrements(xv, n)
     m = len(us) - 1

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,8 @@ from logseries.inequalities import (
     tangent_at,
     tangent_line_gap,
 )
+
+DBL_MAX = sys.float_info.max
 
 
 def test_tangent_line_gap_zero_at_one():
@@ -80,8 +83,18 @@ def test_concavity_nonnegative_on_grid():
                 assert concavity_check(x, y, lam) >= -PAIR_TOL
 
 
+def test_concavity_at_subnormal_inputs():
+    # lam * x and (1 - lam) * y both round to 0 at the smallest subnormal.
+    assert concavity_check(5e-324, 5e-324, 0.5) == 0.0
+    # Here the mix would round 2.5 units to 2, a false violation of -0.13.
+    expected = math.log(2.5) - 0.75 * math.log(3.0)
+    assert concavity_check(5e-324, 1.5e-323, 0.25) == pytest.approx(expected, abs=1e-11)
+    # At lam = 0 the mix is y exactly, and x is not scaled (it may be huge).
+    assert concavity_check(sys.float_info.max, 5e-324, 0.0) == 0.0
+
+
 def test_concavity_lambda_validation():
-    for bad in (-0.1, 1.1, math.nan):
+    for bad in (-0.1, 1.1, math.nan, 10**400):
         with pytest.raises(ValueError):
             concavity_check(2.0, 3.0, bad)
     with pytest.raises(TypeError):
@@ -110,6 +123,29 @@ def test_amgm_constant_vectors_report_equality():
             assert report.arithmetic_mean == pytest.approx(scale, rel=1e-15)
             assert report.holds is True
             assert report.equality is True
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[1e308, 1e308], [DBL_MAX, DBL_MAX], [DBL_MAX] * 3, [DBL_MAX]],
+    ids=["1e308_x2", "dbl_max_x2", "dbl_max_x3", "dbl_max_x1"],
+)
+def test_amgm_constant_vectors_near_dbl_max(values):
+    # The plain sum, exp(mean log), or both overflow here.
+    report = amgm_check(values)
+    assert report.arithmetic_mean == values[0]
+    assert report.geometric_mean == pytest.approx(values[0], rel=1e-12)
+    assert report.holds is True
+    assert report.equality is True
+
+
+def test_amgm_mixed_vector_near_dbl_max():
+    values = [DBL_MAX, 1e308, 2.0, 0.5]
+    report = amgm_check(values)
+    assert report.arithmetic_mean == pytest.approx((DBL_MAX / 4 + 1e308 / 4) + 0.625, rel=1e-15)
+    expected_gm = math.exp((math.log(DBL_MAX) + math.log(1e308)) / 4)
+    assert report.geometric_mean == pytest.approx(expected_gm, rel=1e-12)
+    assert report.holds is True and report.equality is False
 
 
 def test_amgm_validation():

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from logseries.series import (
     EvalConfig,
+    LogApproxResult,
     PositiveInput,
     decrement_step,
     difference_quotient,
@@ -378,7 +379,7 @@ def test_eval_log_at_dbl_max_keeps_the_identity():
 def _outcome(fn, *args):
     try:
         return repr(fn(*args))
-    except ArithmeticError as exc:
+    except (ArithmeticError, ValueError) as exc:
         return type(exc).__name__
 
 
@@ -395,24 +396,26 @@ def _reference_chain(x, n):
     return us[: n + 1]
 
 
-def _reference_eval_log(x):
-    # The term loop of eval_log at the default config, one step per term.
-    us = _reference_chain(x, 96)
+def _reference_eval_log(x, cfg=EvalConfig()):
+    # The term loop of eval_log, one step per term: the chain is stepped with
+    # decrement_step, every term is ldexp(u_n**2, n - 1), and the stop test
+    # safety_factor * term_n <= tol runs after each term is added.
+    us = _reference_chain(x, cfg.max_terms)
     s = 0.0
     u = 0.0
     tail = math.inf
     n = 0
-    for n in range(1, 97):
+    for n in range(1, cfg.max_terms + 1):
         u = us[n]
         t = math.ldexp(u * u, n - 1)
         s += t
-        tail = 2.0 * t
-        if tail <= 1e-14:
+        tail = cfg.safety_factor * t
+        if tail <= cfg.tol:
             break
     log_value = math.ldexp(u, n)
     if not math.isfinite(s):
         s = (x - 1.0) - log_value
-    return (log_value, s, n, tail, tail <= 1e-14)
+    return (log_value, s, n, tail, tail <= cfg.tol)
 
 
 def test_walk_stops_where_steps_become_exact_halvings():
@@ -461,9 +464,44 @@ def test_property_views_bit_identical_to_stepwise_chain(x, n):
     assert repr(partial_sum(x, n)) == repr(sums[n])
     assert repr(difference_quotient(x, n)) == repr(quotients[n])
     if n >= 1 and x != 1.0:
-        # Both sides raise OverflowError at k = 1 for x near DBL_MAX, where
-        # 2 * u_1**2 is beyond the float range.
-        expected = _outcome(math.ldexp, us[n] * us[n], 2 * n - 1)
+        # At k = 1 for x near DBL_MAX, 2 * u_1**2 is beyond the float range:
+        # the reference's ldexp raises OverflowError there, and tail_ratio
+        # raises the documented ValueError.
+        expected = _outcome(math.ldexp, us[n] * us[n], 2 * n - 1).replace("OverflowError", "ValueError")
         assert _outcome(tail_ratio, x, n) == expected
-    r = eval_log(x)
-    assert repr((r.log_value, r.residual, r.terms_used, r.tail_estimate, r.converged)) == repr(_reference_eval_log(x))
+    assert repr(tuple(eval_log(x))) == repr(_reference_eval_log(x))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(min_value=0.0, max_value=DBL_MAX, exclude_min=True),
+    st.floats(min_value=1e-300, max_value=1.0),
+    st.integers(min_value=1, max_value=300),
+    st.floats(min_value=1.0, max_value=10.0),
+)
+def test_property_eval_log_stopping_rule_under_any_config(x, tol, max_terms, safety_factor):
+    # The kernel tests the stop inside its single pass; the reference adds
+    # each term and then tests, one decrement_step per term.
+    cfg = EvalConfig(tol=tol, max_terms=max_terms, safety_factor=safety_factor)
+    assert repr(tuple(eval_log(x, cfg))) == repr(_reference_eval_log(x, cfg))
+
+
+def test_log_approx_result_is_an_immutable_record():
+    result = eval_log(1.0)
+    assert LogApproxResult._fields == ("log_value", "residual", "terms_used", "tail_estimate", "converged")
+    assert repr(result) == (
+        "LogApproxResult(log_value=0.0, residual=0.0, terms_used=1, tail_estimate=0.0, converged=True)"
+    )
+    with pytest.raises(AttributeError):
+        result.log_value = 1.0
+    assert result == LogApproxResult(log_value=0.0, residual=0.0, terms_used=1, tail_estimate=0.0, converged=True)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: tail_ratio(1e308, 1), lambda: tail_ratio(8.988465674311582e307, 1), lambda: term(1100, 0.5)],
+    ids=["tail_ratio_1e308", "tail_ratio_8p99e307", "term_k1100"],
+)
+def test_values_beyond_the_float_range_are_a_value_error(call):
+    with pytest.raises(ValueError, match="beyond the float range"):
+        call()
