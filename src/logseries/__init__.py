@@ -8,64 +8,11 @@ it to verify the classical tangent, concavity, and AM-GM inequalities.
 The ``logseries`` command line fronts all of it.
 """
 
-from .inequalities import (
-    AmgmReport,
-    SweepReport,
-    amgm_check,
-    concavity_check,
-    log_uniform,
-    sweep_amgm,
-    sweep_concavity,
-    sweep_tangent_at,
-    sweep_tangent_line,
-    tangent_at,
-    tangent_line_gap,
-)
-from .oracles import QuadratureConfig, double_integral_residual, reference_log
-from .series import (
-    DecrementState,
-    EvalConfig,
-    LogApproxResult,
-    PositiveInput,
-    TraceRow,
-    decrement_step,
-    difference_quotient,
-    eval_log,
-    iterate_decrements,
-    partial_sum,
-    tail_ratio,
-    term,
-    trace,
-)
+from . import inequalities, oracles, series
+from .inequalities import *
+from .oracles import *
+from .series import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmgmReport",
-    "DecrementState",
-    "EvalConfig",
-    "LogApproxResult",
-    "PositiveInput",
-    "QuadratureConfig",
-    "SweepReport",
-    "TraceRow",
-    "amgm_check",
-    "concavity_check",
-    "decrement_step",
-    "difference_quotient",
-    "double_integral_residual",
-    "eval_log",
-    "iterate_decrements",
-    "log_uniform",
-    "partial_sum",
-    "reference_log",
-    "sweep_amgm",
-    "sweep_concavity",
-    "sweep_tangent_at",
-    "sweep_tangent_line",
-    "tail_ratio",
-    "tangent_at",
-    "tangent_line_gap",
-    "term",
-    "trace",
-]
+__all__ = sorted({*series.__all__, *inequalities.__all__, *oracles.__all__})

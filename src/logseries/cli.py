@@ -12,6 +12,7 @@ import sys
 import time
 
 from .inequalities import (
+    DEFAULT_SEED,
     GAP_TOL,
     PAIR_TOL,
     amgm_check,
@@ -32,8 +33,14 @@ EXIT_NUMERIC = 2
 INTEGRAL_TOL = 1e-8
 INTEGRAL_GRID = (0.25, 0.5, 2.0, 5.0, 10.0)
 CONSTANT_SCALES = (1e-6, 1e-3, 1.0, 7.0, 100.0)
+CONSTANT_LENGTHS = range(1, 17)
 
-TIMING_NOTE = "# timing: perf_counter, one warm-up eval per point, median over 5 batches of 1000 evaluations"
+TIMING_REPS = 1000
+TIMING_BATCHES = 5
+TIMING_NOTE = (
+    f"# timing: perf_counter, one warm-up eval per point, median over {TIMING_BATCHES} batches "
+    f"of {TIMING_REPS} evaluations"
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -116,40 +123,40 @@ def _cmd_trace(args) -> int:
     return EXIT_OK
 
 
-def _print_sweep(report) -> None:
-    print(
-        f"{report.name}: checked={report.checked} min_margin={_fmt(report.min_margin)} "
-        f"threshold={format(report.threshold, 'g')} violations={report.violations}"
-    )
+def _verdict(failed: bool) -> int:
+    """The exit status of a check whose FAIL lines, if any, are already printed."""
+    if failed:
+        return EXIT_NUMERIC
+    print("PASS")
+    return EXIT_OK
 
 
-def _sweep_failures(reports) -> int:
-    failed = False
+def _point_check(call: str, margin: float, tol: float, noun: str) -> int:
+    """One margin that must not fall below -tol."""
+    print(f"{call} = {_fmt(margin)}")
+    failed = margin < -tol
+    if failed:
+        print(f"FAIL: {noun} below {format(-tol, 'g')}")
+    return _verdict(failed)
+
+
+def _sweeps_failed(*reports) -> bool:
+    """Print each sweep's summary and first violation; whether any sweep failed."""
     for report in reports:
-        _print_sweep(report)
+        print(
+            f"{report.name}: checked={report.checked} min_margin={_fmt(report.min_margin)} "
+            f"threshold={format(report.threshold, 'g')} violations={report.violations}"
+        )
         if report.violations:
             args_, margin = report.first_violation
             print(f"FAIL: {report.name} at {args_!r} with margin {_fmt(margin)}")
-            failed = True
-    return EXIT_NUMERIC if failed else EXIT_OK
+    return any(report.violations for report in reports)
 
 
 def _cmd_check_tangent(args) -> int:
     if args.x is not None:
-        gap = tangent_line_gap(args.x)
-        print(f"tangent_line_gap({_fmt(args.x)}) = {_fmt(gap)}")
-        if gap < -GAP_TOL:
-            print(f"FAIL: gap below {format(-GAP_TOL, 'g')}")
-            return EXIT_NUMERIC
-        print("PASS")
-        return EXIT_OK
-    status = _sweep_failures([
-        sweep_tangent_line(seed=args.seed),
-        sweep_tangent_at(seed=args.seed),
-    ])
-    if status == EXIT_OK:
-        print("PASS")
-    return status
+        return _point_check(f"tangent_line_gap({_fmt(args.x)})", tangent_line_gap(args.x), GAP_TOL, "gap")
+    return _verdict(_sweeps_failed(sweep_tangent_line(seed=args.seed), sweep_tangent_at(seed=args.seed)))
 
 
 def _cmd_check_concavity(args) -> int:
@@ -158,17 +165,9 @@ def _cmd_check_concavity(args) -> int:
         if len(parsed) != 3:
             raise ValueError("--values for concavity must be x,y,lambda")
         x, y, lam = parsed
-        margin = concavity_check(x, y, lam)
-        print(f"concavity_check({_fmt(x)}, {_fmt(y)}, {_fmt(lam)}) = {_fmt(margin)}")
-        if margin < -PAIR_TOL:
-            print(f"FAIL: margin below {format(-PAIR_TOL, 'g')}")
-            return EXIT_NUMERIC
-        print("PASS")
-        return EXIT_OK
-    status = _sweep_failures([sweep_concavity(seed=args.seed)])
-    if status == EXIT_OK:
-        print("PASS")
-    return status
+        call = f"concavity_check({_fmt(x)}, {_fmt(y)}, {_fmt(lam)})"
+        return _point_check(call, concavity_check(x, y, lam), PAIR_TOL, "margin")
+    return _verdict(_sweeps_failed(sweep_concavity(seed=args.seed)))
 
 
 def _cmd_check_amgm(args) -> int:
@@ -180,31 +179,25 @@ def _cmd_check_amgm(args) -> int:
         print(f"equality = {_fmt_bool(report.equality)}")
         if not report.holds:
             print("FAIL: geometric mean exceeds arithmetic mean beyond tolerance")
-            return EXIT_NUMERIC
-        print("PASS")
-        return EXIT_OK
-    status = _sweep_failures([sweep_amgm(seed=args.seed)])
+        return _verdict(not report.holds)
+    failed = _sweeps_failed(sweep_amgm(seed=args.seed))
     equality_failures = 0
-    checked = 0
     for scale in CONSTANT_SCALES:
-        for length in range(1, 17):
-            checked += 1
+        for length in CONSTANT_LENGTHS:
             if not amgm_check([scale] * length).equality:
                 equality_failures += 1
-                if status == EXIT_OK:
+                if not failed:  # name the first failure only, and only after a passing sweep
                     print(f"FAIL: constant vector [{_fmt(scale)}] * {length} not flagged as equality")
-                    status = EXIT_NUMERIC
+                    failed = True
+    checked = len(CONSTANT_SCALES) * len(CONSTANT_LENGTHS)
     print(f"constant_vectors: checked={checked} equality_failures={equality_failures}")
-    if status == EXIT_OK:
-        print("PASS")
-    return status
+    return _verdict(failed)
 
 
 def _cmd_check_integral(args) -> int:
     config = QuadratureConfig(panels=args.panels)
-    grid = [args.x] if args.x is not None else list(INTEGRAL_GRID)
-    status = EXIT_OK
-    for x in grid:
+    failed = False
+    for x in INTEGRAL_GRID if args.x is None else (args.x,):
         quad = double_integral_residual(x, config)
         series_residual = x - 1.0 - eval_log(x).log_value
         diff = abs(quad - series_residual)
@@ -214,20 +207,18 @@ def _cmd_check_integral(args) -> int:
         )
         if diff > INTEGRAL_TOL:
             print(f"FAIL: disagreement above {format(INTEGRAL_TOL, 'g')}")
-            status = EXIT_NUMERIC
-    if status == EXIT_OK:
-        print("PASS")
-    return status
+            failed = True
+    return _verdict(failed)
 
 
-def _timed_eval(x: float, config: EvalConfig, reps: int = 1000, batches: int = 5) -> float:
+def _timed_eval(x: float, config: EvalConfig) -> float:
     eval_log(x, config)
     samples = []
-    for _ in range(batches):
+    for _ in range(TIMING_BATCHES):
         start = time.perf_counter()
-        for _ in range(reps):
+        for _ in range(TIMING_REPS):
             eval_log(x, config)
-        samples.append((time.perf_counter() - start) / reps)
+        samples.append((time.perf_counter() - start) / TIMING_REPS)
     return statistics.median(samples)
 
 
@@ -271,11 +262,17 @@ def _build_parser() -> _Parser:
         description="Natural logarithm via its square-root decrement series: evaluate, trace, check, benchmark.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    # Options shared by several commands, with the library's defaults.
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--tol", type=float, default=EvalConfig.tol,
+                        help="stopping tolerance (default %(default)s)")
+    config.add_argument("--max-terms", type=int, default=EvalConfig.max_terms,
+                        help="term budget (default %(default)s)")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sweep seed (default %(default)s)")
 
-    p_eval = sub.add_parser("eval", help="approximate log(x) adaptively")
+    p_eval = sub.add_parser("eval", parents=[config], help="approximate log(x) adaptively")
     p_eval.add_argument("--x", type=float, required=True, help="argument, a positive real")
-    p_eval.add_argument("--tol", type=float, default=1e-14, help="stopping tolerance (default 1e-14)")
-    p_eval.add_argument("--max-terms", type=int, default=96, help="term budget (default 96)")
     p_eval.set_defaults(func=_cmd_eval)
 
     p_trace = sub.add_parser("trace", help="per-step table of decrements, terms, and partial sums")
@@ -287,30 +284,27 @@ def _build_parser() -> _Parser:
     p_check = sub.add_parser("check", help="verify a logarithm inequality or the quadrature oracle")
     check_sub = p_check.add_subparsers(dest="subcheck", required=True, parser_class=_Parser)
 
-    p_tan = check_sub.add_parser("tangent", help="log(x) <= x - 1 and the general tangent bound")
+    p_tan = check_sub.add_parser("tangent", parents=[seeded],
+                                 help="log(x) <= x - 1 and the general tangent bound")
     p_tan.add_argument("--x", type=float, default=None, help="single point; omit for a randomized sweep")
-    p_tan.add_argument("--seed", type=int, default=42, help="sweep seed (default 42)")
     p_tan.set_defaults(func=_cmd_check_tangent)
 
-    p_conc = check_sub.add_parser("concavity", help="chord never exceeds the curve")
+    p_conc = check_sub.add_parser("concavity", parents=[seeded], help="chord never exceeds the curve")
     p_conc.add_argument("--values", default=None, help="x,y,lambda for a single check; omit for a sweep")
-    p_conc.add_argument("--seed", type=int, default=42, help="sweep seed (default 42)")
     p_conc.set_defaults(func=_cmd_check_concavity)
 
-    p_amgm = check_sub.add_parser("amgm", help="arithmetic mean dominates geometric mean")
+    p_amgm = check_sub.add_parser("amgm", parents=[seeded], help="arithmetic mean dominates geometric mean")
     p_amgm.add_argument("--values", default=None, help="comma-separated positive values; omit for a sweep")
-    p_amgm.add_argument("--seed", type=int, default=42, help="sweep seed (default 42)")
     p_amgm.set_defaults(func=_cmd_check_amgm)
 
     p_int = check_sub.add_parser("integral", help="series residual vs nested Simpson quadrature")
     p_int.add_argument("--x", type=float, default=None, help="single point; omit for the default grid")
-    p_int.add_argument("--panels", type=int, default=1024, help="Simpson panels per axis (default 1024)")
+    p_int.add_argument("--panels", type=int, default=QuadratureConfig.panels,
+                       help="Simpson panels per axis (default %(default)s)")
     p_int.set_defaults(func=_cmd_check_integral)
 
-    p_bench = sub.add_parser("bench", help="accuracy and timing over a log-spaced grid")
+    p_bench = sub.add_parser("bench", parents=[config], help="accuracy and timing over a log-spaced grid")
     p_bench.add_argument("--grid", required=True, help="lo:hi:count, log-spaced, endpoints inclusive")
-    p_bench.add_argument("--tol", type=float, default=1e-14, help="stopping tolerance (default 1e-14)")
-    p_bench.add_argument("--max-terms", type=int, default=96, help="term budget (default 96)")
     p_bench.add_argument("--format", choices=("human", "csv"), default="human")
     p_bench.set_defaults(func=_cmd_bench)
 

@@ -101,8 +101,9 @@ class EvalConfig:
             raise ValueError(f"tol must be a finite positive float, got {self.tol!r}")
         if isinstance(self.max_terms, bool) or not isinstance(self.max_terms, int) or self.max_terms < 1:
             raise ValueError(f"max_terms must be a positive integer, got {self.max_terms!r}")
-        if not math.isfinite(self.safety_factor) or self.safety_factor < 1.0:
-            raise ValueError(f"safety_factor must be >= 1, got {self.safety_factor!r}")
+        factor = self.safety_factor
+        if isinstance(factor, bool) or not math.isfinite(factor) or factor < 1.0:
+            raise ValueError(f"safety_factor must be >= 1, got {factor!r}")
 
 
 class DecrementState(NamedTuple):
@@ -323,9 +324,12 @@ def tail_ratio(x: "float | PositiveInput", k: int) -> float:
         raise ValueError("tail_ratio is undefined at x = 1 (all terms are zero)")
     _, j, u, _, _ = _walk(xv, k, -1.0, 1.0)
     try:
-        return math.ldexp(u * u, 2 * j - 1)  # past m, 2**(2k-1) * u_k**2 = 2**(2m-1) * u_m**2
+        ratio = math.ldexp(u * u, 2 * j - 1)  # past m, 2**(2k-1) * u_k**2 = 2**(2m-1) * u_m**2
     except OverflowError:
-        raise ValueError(f"tail_ratio({xv!r}, {k}) is beyond the float range") from None
+        ratio = math.inf
+    if ratio == math.inf:  # u * u itself is inf at k = 1 near DBL_MAX, and ldexp(inf, 1) does not raise
+        raise ValueError(f"tail_ratio({xv!r}, {k}) is beyond the float range")
+    return ratio
 
 
 def trace(x: "float | PositiveInput", n: int) -> list[TraceRow]:

@@ -10,7 +10,10 @@ import sys
 
 import pytest
 
-from logseries.series import iterate_decrements
+from logseries import cli
+from logseries.inequalities import DEFAULT_SEED, AmgmReport, SweepReport
+from logseries.oracles import QuadratureConfig
+from logseries.series import EvalConfig, iterate_decrements
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 PYPROJECT = pathlib.Path(__file__).parent.parent / "pyproject.toml"
@@ -25,6 +28,12 @@ def run_cli(*argv):
 
 def _stdout_text(proc) -> str:
     return proc.stdout.decode()
+
+
+def run_main(capsys, *argv):
+    """``cli.main`` in process: (exit status, stdout)."""
+    status = cli.main(list(argv))
+    return status, capsys.readouterr().out
 
 
 def _field(proc, key: str) -> str:
@@ -152,6 +161,16 @@ def test_check_integral_at_point():
     assert b"PASS" in proc.stdout
 
 
+def test_check_integral_failure_exits_two():
+    # 64 panels are too coarse for the oracle to meet 1e-8 at the far grid points.
+    proc = run_cli("check", "integral", "--panels", "64")
+    assert proc.returncode == 2
+    lines = _stdout_text(proc).splitlines()
+    failed = [lines[i - 1].split(":")[0] for i, line in enumerate(lines) if line == "FAIL: disagreement above 1e-08"]
+    assert failed == ["x = 0.25", "x = 5", "x = 10"]
+    assert "PASS" not in lines
+
+
 def test_check_integral_odd_panels_exits_one():
     assert run_cli("check", "integral", "--x", "2", "--panels", "3").returncode == 1
 
@@ -167,6 +186,82 @@ def test_check_randomized_sweeps_pass():
     assert proc.returncode == 0
     assert b"violations=0" in proc.stdout
     assert b"PASS" in proc.stdout
+
+
+def test_check_tangent_point_failure_exits_two(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "tangent_line_gap", lambda x: -1.0)
+    assert run_main(capsys, "check", "tangent", "--x", "2") == (
+        2, "tangent_line_gap(2) = -1\nFAIL: gap below -1e-12\n"
+    )
+
+
+def test_check_concavity_point_failure_exits_two(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "concavity_check", lambda x, y, lam: -1.0)
+    assert run_main(capsys, "check", "concavity", "--values", "1,4,0.5") == (
+        2, "concavity_check(1, 4, 0.5) = -1\nFAIL: margin below -1e-11\n"
+    )
+
+
+def test_check_amgm_values_failure_exits_two(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "amgm_check", lambda values: AmgmReport(3.0, 4.0, False, False))
+    assert run_main(capsys, "check", "amgm", "--values", "2,8") == (
+        2,
+        "arithmetic_mean = 3\ngeometric_mean = 4\nholds = false\nequality = false\n"
+        "FAIL: geometric mean exceeds arithmetic mean beyond tolerance\n",
+    )
+
+
+def _failed_sweep(name):
+    return SweepReport(name, 1, -1e-12, -1.0, (2.0,), 1, ((2.0,), -1.0))
+
+
+def test_check_tangent_sweep_failure_reports_both_sweeps(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "sweep_tangent_line", lambda seed: _failed_sweep("tangent_line_gap"))
+    monkeypatch.setattr(cli, "sweep_tangent_at", lambda seed: _failed_sweep("tangent_at"))
+    status, out = run_main(capsys, "check", "tangent")
+    assert status == 2
+    assert out.splitlines() == [
+        "tangent_line_gap: checked=1 min_margin=-1 threshold=-1e-12 violations=1",
+        "FAIL: tangent_line_gap at (2.0,) with margin -1",
+        "tangent_at: checked=1 min_margin=-1 threshold=-1e-12 violations=1",
+        "FAIL: tangent_at at (2.0,) with margin -1",
+    ]
+
+
+def test_check_amgm_constant_vector_failure_exits_two(monkeypatch, capsys):
+    # Every constant vector fails; one FAIL line names the first of them.
+    monkeypatch.setattr(cli, "amgm_check", lambda values: AmgmReport(1.0, 1.0, True, False))
+    status, out = run_main(capsys, "check", "amgm")
+    lines = out.splitlines()
+    assert status == 2
+    assert lines[0].startswith("amgm_check: checked=1000 ") and lines[0].endswith(" violations=0")
+    assert lines[1:] == [
+        "FAIL: constant vector [9.9999999999999995e-07] * 1 not flagged as equality",
+        "constant_vectors: checked=80 equality_failures=80",
+    ]
+
+
+def test_check_amgm_constant_vector_failure_after_failed_sweep(monkeypatch, capsys):
+    # The constant-vector FAIL line is printed only when the sweep passed.
+    monkeypatch.setattr(cli, "amgm_check", lambda values: AmgmReport(1.0, 1.0, True, False))
+    monkeypatch.setattr(cli, "sweep_amgm", lambda seed: _failed_sweep("amgm_check"))
+    assert run_main(capsys, "check", "amgm") == (
+        2,
+        "amgm_check: checked=1 min_margin=-1 threshold=-1e-12 violations=1\n"
+        "FAIL: amgm_check at (2.0,) with margin -1\n"
+        "constant_vectors: checked=80 equality_failures=80\n",
+    )
+
+
+def test_parser_defaults_are_the_librarys():
+    parser = cli._build_parser()
+    config = EvalConfig()
+    for argv in (["eval", "--x", "2"], ["bench", "--grid", "1:2:2"]):
+        args = parser.parse_args(argv)
+        assert (args.tol, args.max_terms) == (config.tol, config.max_terms)
+    for check in ("tangent", "concavity", "amgm"):
+        assert parser.parse_args(["check", check]).seed == DEFAULT_SEED
+    assert parser.parse_args(["check", "integral"]).panels == QuadratureConfig().panels
 
 
 def test_bench_single_point_csv():

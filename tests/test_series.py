@@ -253,7 +253,7 @@ def test_eval_config_defaults_and_validation():
     assert config.safety_factor == 2.0
     for kwargs in ({"tol": 0.0}, {"tol": -1e-10}, {"tol": math.nan},
                    {"max_terms": 0}, {"max_terms": -2}, {"max_terms": 2.5},
-                   {"safety_factor": 0.5}, {"safety_factor": math.inf}):
+                   {"safety_factor": 0.5}, {"safety_factor": math.inf}, {"safety_factor": True}):
         with pytest.raises(ValueError):
             EvalConfig(**kwargs)
 
@@ -465,10 +465,11 @@ def test_property_views_bit_identical_to_stepwise_chain(x, n):
     assert repr(difference_quotient(x, n)) == repr(quotients[n])
     if n >= 1 and x != 1.0:
         # At k = 1 for x near DBL_MAX, 2 * u_1**2 is beyond the float range:
-        # the reference's ldexp raises OverflowError there, and tail_ratio
-        # raises the documented ValueError.
+        # the reference's ldexp raises OverflowError there, or returns inf
+        # where u_1**2 itself overflows, and tail_ratio raises the documented
+        # ValueError in both cases.
         expected = _outcome(math.ldexp, us[n] * us[n], 2 * n - 1).replace("OverflowError", "ValueError")
-        assert _outcome(tail_ratio, x, n) == expected
+        assert _outcome(tail_ratio, x, n) == ("ValueError" if expected == "inf" else expected)
     assert repr(tuple(eval_log(x))) == repr(_reference_eval_log(x))
 
 
@@ -499,8 +500,13 @@ def test_log_approx_result_is_an_immutable_record():
 
 @pytest.mark.parametrize(
     "call",
-    [lambda: tail_ratio(1e308, 1), lambda: tail_ratio(8.988465674311582e307, 1), lambda: term(1100, 0.5)],
-    ids=["tail_ratio_1e308", "tail_ratio_8p99e307", "term_k1100"],
+    [
+        lambda: tail_ratio(1e308, 1),
+        lambda: tail_ratio(8.988465674311582e307, 1),
+        lambda: tail_ratio(DBL_MAX, 1),
+        lambda: term(1100, 0.5),
+    ],
+    ids=["tail_ratio_1e308", "tail_ratio_8p99e307", "tail_ratio_dbl_max", "term_k1100"],
 )
 def test_values_beyond_the_float_range_are_a_value_error(call):
     with pytest.raises(ValueError, match="beyond the float range"):
