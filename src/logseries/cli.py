@@ -7,7 +7,6 @@ lines start with '#' and appear only before the header row.
 """
 
 import argparse
-import statistics
 import sys
 import time
 
@@ -212,6 +211,8 @@ def _cmd_check_integral(args) -> int:
 
 
 def _timed_eval(x: float, config: EvalConfig) -> float:
+    import statistics  # only bench needs it; the other commands start faster without it
+
     eval_log(x, config)
     samples = []
     for _ in range(TIMING_BATCHES):
@@ -223,6 +224,8 @@ def _timed_eval(x: float, config: EvalConfig) -> float:
 
 
 def _cmd_bench(args) -> int:
+    import statistics
+
     points = _parse_grid(args.grid)
     config = EvalConfig(tol=args.tol, max_terms=args.max_terms)
     rows = []
@@ -263,10 +266,11 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     # Options shared by several commands, with the library's defaults.
+    defaults = EvalConfig()
     config = argparse.ArgumentParser(add_help=False)
-    config.add_argument("--tol", type=float, default=EvalConfig.tol,
+    config.add_argument("--tol", type=float, default=defaults.tol,
                         help="stopping tolerance (default %(default)s)")
-    config.add_argument("--max-terms", type=int, default=EvalConfig.max_terms,
+    config.add_argument("--max-terms", type=int, default=defaults.max_terms,
                         help="term budget (default %(default)s)")
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sweep seed (default %(default)s)")
@@ -299,7 +303,7 @@ def _build_parser() -> _Parser:
 
     p_int = check_sub.add_parser("integral", help="series residual vs nested Simpson quadrature")
     p_int.add_argument("--x", type=float, default=None, help="single point; omit for the default grid")
-    p_int.add_argument("--panels", type=int, default=QuadratureConfig.panels,
+    p_int.add_argument("--panels", type=int, default=QuadratureConfig().panels,
                        help="Simpson panels per axis (default %(default)s)")
     p_int.set_defaults(func=_cmd_check_integral)
 

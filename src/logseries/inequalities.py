@@ -17,8 +17,7 @@ default seed so that reruns are reproducible bit for bit.
 import math
 import random
 import sys
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .series import PositiveInput, _positive_value, _real, eval_log
 
@@ -51,8 +50,7 @@ SAMPLE_LO = 1e-6
 SAMPLE_HI = 100.0
 
 
-@dataclass(frozen=True)
-class AmgmReport:
+class AmgmReport(NamedTuple):
     """Means of a positive vector and the AM-GM verdicts.
 
     ``holds`` allows GM to exceed AM by at most EQUALITY_TOL relative
@@ -66,8 +64,7 @@ class AmgmReport:
     equality: bool
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     """Aggregate of one randomized sweep: worst margin and any violations."""
 
     name: str

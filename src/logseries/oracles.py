@@ -17,7 +17,7 @@ package (and every CLI command but ``check integral``) does not load it.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .series import PositiveInput, _positive_value
 
@@ -29,19 +29,25 @@ __all__ = ["QuadratureConfig", "double_integral_residual", "reference_log"]
 MAX_PANELS = 4096
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Panel count per axis for composite Simpson; even, 2 <= panels <= MAX_PANELS."""
-
+class _QuadratureConfigFields(NamedTuple):
     panels: int = 1024
 
-    def __post_init__(self) -> None:
+
+class QuadratureConfig(_QuadratureConfigFields):
+    """Panel count per axis for composite Simpson; even, 2 <= panels <= MAX_PANELS."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace builds through _make: validate there too
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if isinstance(self.panels, bool) or not isinstance(self.panels, int):
             raise ValueError(f"panels must be an integer, got {self.panels!r}")
         if self.panels < 2 or self.panels % 2 != 0:
             raise ValueError(f"panels must be an even integer >= 2, got {self.panels}")
         if self.panels > MAX_PANELS:
             raise ValueError(f"panels must be at most {MAX_PANELS}, got {self.panels}")
+        return self
 
 
 def _simpson_weights(panels: int) -> "numpy.ndarray":

@@ -46,7 +46,6 @@ takes at most about 70 steps for any x and n.
 """
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 __all__ = [
@@ -66,24 +65,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PositiveInput:
-    """A validated argument for the logarithm: finite, strictly positive."""
-
+class _PositiveInputFields(NamedTuple):
     x: float
 
-    def __post_init__(self) -> None:
-        x = _real(self.x, "x")
+
+class PositiveInput(_PositiveInputFields):
+    """A validated argument for the logarithm: finite, strictly positive."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace builds through _make: validate there too
+
+    def __new__(cls, x):
+        x = _real(x, "x")
         if x <= 0.0:
             raise ValueError(f"x must be a finite positive real, got {x!r}")
-        object.__setattr__(self, "x", x)
+        return super().__new__(cls, x)
 
     def __float__(self) -> float:
         return self.x
 
 
-@dataclass(frozen=True)
-class EvalConfig:
+class _EvalConfigFields(NamedTuple):
+    tol: float = 1e-14
+    max_terms: int = 96
+    safety_factor: float = 2.0
+
+
+class EvalConfig(_EvalConfigFields):
     """Stopping parameters for :func:`eval_log`.
 
     The estimated tail of the series is ``safety_factor * term_n``; the
@@ -92,18 +100,23 @@ class EvalConfig:
     ratio sits slightly below 1/2 for x > 1 and approaches it from below.
     """
 
-    tol: float = 1e-14
-    max_terms: int = 96
-    safety_factor: float = 2.0
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (isinstance(self.tol, float) and math.isfinite(self.tol)) or self.tol <= 0.0:
             raise ValueError(f"tol must be a finite positive float, got {self.tol!r}")
         if isinstance(self.max_terms, bool) or not isinstance(self.max_terms, int) or self.max_terms < 1:
             raise ValueError(f"max_terms must be a positive integer, got {self.max_terms!r}")
         factor = self.safety_factor
-        if isinstance(factor, bool) or not math.isfinite(factor) or factor < 1.0:
+        try:
+            bad = isinstance(factor, bool) or not math.isfinite(factor) or factor < 1.0
+        except TypeError:
+            bad = True
+        if bad:
             raise ValueError(f"safety_factor must be >= 1, got {factor!r}")
+        return self
 
 
 class DecrementState(NamedTuple):
@@ -281,7 +294,9 @@ def partial_sum(x: "float | PositiveInput", n: int) -> float:
     Nonnegative and nondecreasing in n.  S_0 = 0 by the empty-sum
     convention.
     """
-    return _walk(_positive_value(x), _int_at_least(n, "n", 0), -1.0, 1.0)[3]
+    xv = _positive_value(x)
+    _, j, u, s, _ = _walk(xv, _int_at_least(n, "n", 0), -1.0, 1.0)
+    return s if math.isfinite(s) else (xv - 1.0) - math.ldexp(u, j)  # term 1 overflows near DBL_MAX
 
 
 def difference_quotient(x: "float | PositiveInput", n: int) -> float:

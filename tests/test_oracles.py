@@ -106,9 +106,30 @@ def test_panels_above_bound_refused():
             QuadratureConfig(bad)
 
 
-def test_import_does_not_load_numpy():
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    """``code`` in a fresh interpreter that imports this checkout's package."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    code = "import logseries, logseries.cli, sys; assert 'numpy' not in sys.modules"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
-    assert proc.returncode == 0, proc.stderr.decode()
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_import_does_not_load_numpy():
+    _run_python("import logseries, logseries.cli, sys; assert 'numpy' not in sys.modules")
+
+
+def test_light_commands_load_no_heavy_modules():
+    # Start-up dominates these commands, so they import only what they use.
+    # The snapshot keeps the test valid where site already loads some of these.
+    code = """
+import contextlib, io, sys
+before = set(sys.modules)
+from logseries import cli
+for argv in (["eval", "--x", "4"], ["trace", "--x", "3", "--n", "5"], ["check", "tangent", "--x", "2"],
+             ["check", "concavity", "--values", "1,3,0.5"], ["check", "amgm", "--values", "2,8"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(sorted({"dataclasses", "inspect", "statistics", "numpy"} & (set(sys.modules) - before)))
+"""
+    assert _run_python(code).stdout == "[]\n"

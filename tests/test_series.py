@@ -253,7 +253,8 @@ def test_eval_config_defaults_and_validation():
     assert config.safety_factor == 2.0
     for kwargs in ({"tol": 0.0}, {"tol": -1e-10}, {"tol": math.nan},
                    {"max_terms": 0}, {"max_terms": -2}, {"max_terms": 2.5},
-                   {"safety_factor": 0.5}, {"safety_factor": math.inf}, {"safety_factor": True}):
+                   {"safety_factor": 0.5}, {"safety_factor": math.inf}, {"safety_factor": True},
+                   {"safety_factor": "a"}, {"safety_factor": None}):
         with pytest.raises(ValueError):
             EvalConfig(**kwargs)
 
@@ -376,6 +377,15 @@ def test_eval_log_at_dbl_max_keeps_the_identity():
     assert result.log_value + result.residual == pytest.approx(DBL_MAX - 1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 5, 60])
+def test_partial_sum_at_dbl_max_keeps_the_identity(n):
+    # Term 1 overflows here, as in eval_log; S_n must still be finite and
+    # close S_n + D_n = x - 1.
+    s = partial_sum(DBL_MAX, n)
+    assert math.isfinite(s)
+    assert s + difference_quotient(DBL_MAX, n) == pytest.approx(DBL_MAX - 1.0, rel=1e-12)
+
+
 def _outcome(fn, *args):
     try:
         return repr(fn(*args))
@@ -461,7 +471,10 @@ def test_property_views_bit_identical_to_stepwise_chain(x, n):
     assert repr([tuple(s) for s in iterate_decrements(x, n)]) == repr(list(enumerate(us)))
     rows = list(zip(range(n + 1), us, [0.0, *terms], sums, quotients))
     assert repr([tuple(r) for r in trace(x, n)]) == repr(rows)
-    assert repr(partial_sum(x, n)) == repr(sums[n])
+    # Near DBL_MAX term 1 overflows and partial_sum closes S_n by the
+    # identity, as _reference_eval_log does for the residual.
+    closed_sum = sums[n] if math.isfinite(sums[n]) else (x - 1.0) - quotients[n]
+    assert repr(partial_sum(x, n)) == repr(closed_sum)
     assert repr(difference_quotient(x, n)) == repr(quotients[n])
     if n >= 1 and x != 1.0:
         # At k = 1 for x near DBL_MAX, 2 * u_1**2 is beyond the float range:
