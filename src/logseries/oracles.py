@@ -12,6 +12,17 @@ closed form, since the closed form would smuggle the answer in.  Both
 axes use the same panel count.  reference_log exposes the platform
 libm logarithm as a second, cheaper oracle.
 
+The (panels + 1)**2 inner nodes are never held at once.  The outer rows
+are walked in blocks of about _BLOCK_NODES nodes (256 KB of float64, small
+enough to stay in cache), each formed in place in one reused buffer and
+reduced against the Simpson weights into its slice of the inner integrals.
+The nodes, weights and elementwise arithmetic are those of the whole-grid
+formula; only how BLAS groups each row's dot product may differ, by an ulp
+or so.  Memory is O(panels), and MAX_PANELS bounds time, not memory.
+Where the arithmetic leaves the float range the result is not finite, and
+ValueError says so: from about x = 1e156 up the sum overflows, and from
+x = 2**-54 down fl(x - 1) is -1, so the last node is 0.
+
 numpy is imported only when the quadrature runs, so importing the
 package (and every CLI command but ``check integral``) does not load it.
 """
@@ -24,9 +35,11 @@ from .series import PositiveInput, _positive_value
 __all__ = ["QuadratureConfig", "double_integral_residual", "reference_log"]
 
 
-# One call holds three (panels + 1)**2 float64 arrays, 24 * (panels + 1)**2
-# bytes: about 403 MB at this bound.
+# Memory is O(panels); the bound limits time: (4096 + 1)**2, about 16.8M nodes.
 MAX_PANELS = 4096
+
+# Nodes per row block: 32768 float64 are 256 KB, which stays in cache.
+_BLOCK_NODES = 32768
 
 
 class _QuadratureConfigFields(NamedTuple):
@@ -66,7 +79,7 @@ def double_integral_residual(x: "float | PositiveInput", config: "QuadratureConf
     over [1, t_i] is done with the same rule.  The integrand is a square
     in disguise, so the result is nonnegative up to quadrature and
     rounding error, and the error falls off as panels**-4 for x in a
-    moderate range around 1.
+    moderate range around 1.  ValueError where the result is not finite.
     """
     import numpy as np
 
@@ -78,11 +91,24 @@ def double_integral_residual(x: "float | PositiveInput", config: "QuadratureConf
     # Writing s as an outer product keeps both signed orientations consistent.
     frac = np.arange(n + 1) / n
     t_offsets = (xv - 1.0) * frac
-    s = 1.0 + np.outer(t_offsets, frac)
-    g = 1.0 / (s * s)
     w = _simpson_weights(n)
-    inner = (g @ w) * (t_offsets / (3.0 * n))
-    return float((w @ inner) * ((xv - 1.0) / (3.0 * n)))
+    inner = np.empty(n + 1)
+    rows = max(1, _BLOCK_NODES // (n + 1))
+    buf = np.empty((rows, n + 1))
+    with np.errstate(all="ignore"):
+        for a in range(0, n + 1, rows):
+            b = min(a + rows, n + 1)
+            s = buf[: b - a]
+            np.multiply.outer(t_offsets[a:b], frac, out=s)
+            s += 1.0
+            np.multiply(s, s, out=s)
+            np.divide(1.0, s, out=s)  # g = 1 / s**2
+            np.matmul(s, w, out=inner[a:b])
+        inner *= t_offsets / (3.0 * n)
+        result = float((w @ inner) * ((xv - 1.0) / (3.0 * n)))
+    if not math.isfinite(result):
+        raise ValueError(f"the quadrature at x = {xv!r} is beyond the float range")
+    return result
 
 
 def reference_log(x: "float | PositiveInput") -> float:

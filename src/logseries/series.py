@@ -105,8 +105,14 @@ class EvalConfig(_EvalConfigFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        tol = self.tol
+        if isinstance(tol, int) and not isinstance(tol, bool):
+            try:  # an int is accepted, as for x, and stored as a float
+                self = super().__new__(cls, float(tol), *self[1:])
+            except OverflowError:  # beyond the float range: stays an int and is refused below
+                pass
         if not (isinstance(self.tol, float) and math.isfinite(self.tol)) or self.tol <= 0.0:
-            raise ValueError(f"tol must be a finite positive float, got {self.tol!r}")
+            raise ValueError(f"tol must be a finite positive real, got {tol!r}")
         if isinstance(self.max_terms, bool) or not isinstance(self.max_terms, int) or self.max_terms < 1:
             raise ValueError(f"max_terms must be a positive integer, got {self.max_terms!r}")
         factor = self.safety_factor
@@ -366,4 +372,7 @@ def trace(x: "float | PositiveInput", n: int) -> list[TraceRow]:
         t = ldexp(u * u, 2 * j - k - 1)
         s += t
         rows.append(TraceRow(k, ldexp(u, j - k), t, s, ldexp(u, j)))
+    if not math.isfinite(s):
+        # Term 1 overflows near DBL_MAX: close every S_k by the identity, as partial_sum does.
+        rows = [TraceRow(k, u, t, (xv - 1.0) - d, d) for k, u, t, _, d in rows]
     return rows

@@ -181,6 +181,13 @@ def test_check_integral_panels_above_bound_exits_one():
     assert b"at most 4096" in proc.stderr
 
 
+def test_check_integral_beyond_the_float_range_exits_one():
+    proc = run_cli("check", "integral", "--x", "1e300")
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert proc.stderr.decode().splitlines() == ["logseries: error: the quadrature at x = 1e+300 is beyond the float range"]
+
+
 def test_check_randomized_sweeps_pass():
     proc = run_cli("check", "amgm")
     assert proc.returncode == 0

@@ -1,15 +1,18 @@
 """Tests for the quadrature and libm oracles."""
 
 import math
-import os
-import pathlib
+import random
+import re
 import subprocess
 import sys
+import tracemalloc
+import warnings
 
 import mpmath
+import numpy as np
 import pytest
 
-from logseries.oracles import MAX_PANELS, QuadratureConfig, double_integral_residual, reference_log
+from logseries.oracles import MAX_PANELS, QuadratureConfig, _simpson_weights, double_integral_residual, reference_log
 from logseries.series import eval_log
 
 # Correctly rounded double of log(2), frozen from a 60-digit mpmath value.
@@ -21,7 +24,8 @@ def _env_residual(x: float) -> float:
 
 
 def test_zero_width_at_one():
-    assert double_integral_residual(1.0) == 0.0
+    for panels in (2, 1024, 2050):
+        assert double_integral_residual(1.0, QuadratureConfig(panels)) == 0.0
 
 
 def test_value_at_two():
@@ -79,6 +83,53 @@ def test_panel_validation():
             QuadratureConfig(bad)
 
 
+def _whole_grid_residual(xv: float, n: int) -> float:
+    """The oracle's formula with one whole (n + 1)**2 array per stage, as a reference for the row blocks."""
+    frac = np.arange(n + 1) / n
+    t_offsets = (xv - 1.0) * frac
+    s = 1.0 + np.outer(t_offsets, frac)
+    g = 1.0 / (s * s)
+    w = _simpson_weights(n)
+    inner = (g @ w) * (t_offsets / (3.0 * n))
+    return float((w @ inner) * ((xv - 1.0) / (3.0 * n)))
+
+
+def test_row_blocks_match_the_whole_grid_formula():
+    # Same nodes, weights and arithmetic; only BLAS's grouping of each row's
+    # dot product may change, which moves a result by a few ulps at most.
+    rng = random.Random(8)
+    panel_counts = (2, 4, 64, 1000, 1024, 2048, 2050)
+    for i in range(1001):
+        if i % 2:
+            x = math.exp(rng.uniform(math.log(1e-3), math.log(1e3)))
+        else:
+            x = 1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** -rng.uniform(1.0, 12.0)
+        panels = panel_counts[i % len(panel_counts)]
+        expected = _whole_grid_residual(x, panels)
+        got = double_integral_residual(x, QuadratureConfig(panels))
+        assert abs(got - expected) <= 4 * math.ulp(expected), (x, panels, got, expected)
+
+
+def test_memory_does_not_grow_with_the_grid():
+    double_integral_residual(2.0, QuadratureConfig(64))  # numpy's own first-call allocations
+    tracemalloc.start()
+    try:
+        double_integral_residual(2.0, QuadratureConfig(2048))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6  # the whole 2049 x 2049 grid is 33.6 MB per array
+
+
+def test_beyond_the_float_range_is_a_value_error():
+    # The nodes or the sum leave the float range; no inf and no numpy warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (1e300, sys.float_info.max, 1e-200, 5e-324):
+            with pytest.raises(ValueError, match=re.escape(repr(x))):
+                double_integral_residual(x)
+
+
 def test_reference_log_values():
     assert reference_log(1.0) == 0.0
     assert reference_log(math.e) == 1.0
@@ -107,10 +158,8 @@ def test_panels_above_bound_refused():
 
 
 def _run_python(code: str) -> subprocess.CompletedProcess:
-    """``code`` in a fresh interpreter that imports this checkout's package."""
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    """``code`` in a fresh interpreter that imports this checkout's package (see conftest.py)."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return proc
 

@@ -257,6 +257,13 @@ def test_eval_config_defaults_and_validation():
                    {"safety_factor": "a"}, {"safety_factor": None}):
         with pytest.raises(ValueError):
             EvalConfig(**kwargs)
+    # An int tol is accepted, as x is, and stored as a float; bool and out-of-range ints are not.
+    assert EvalConfig(tol=1) == EvalConfig(tol=1.0)
+    assert type(EvalConfig(tol=1).tol) is float
+    assert type(EvalConfig()._replace(tol=2).tol) is float
+    for bad in (True, 0, -1, 10**400, "1e-10", None):
+        with pytest.raises(ValueError, match="tol"):
+            EvalConfig(tol=bad)
 
 
 def test_tail_ratio_examples():
@@ -386,6 +393,15 @@ def test_partial_sum_at_dbl_max_keeps_the_identity(n):
     assert s + difference_quotient(DBL_MAX, n) == pytest.approx(DBL_MAX - 1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 5, 60])
+def test_trace_at_dbl_max_keeps_the_identity(n):
+    rows = trace(DBL_MAX, n)
+    for row in rows:
+        assert math.isfinite(row.partial_sum), row
+        assert row.partial_sum + row.diff_quotient == pytest.approx(DBL_MAX - 1.0, rel=1e-12), row
+    assert rows[-1].partial_sum == partial_sum(DBL_MAX, n)
+
+
 def _outcome(fn, *args):
     try:
         return repr(fn(*args))
@@ -469,12 +485,13 @@ def test_property_views_bit_identical_to_stepwise_chain(x, n):
     quotients = [math.ldexp(u, k) for k, u in enumerate(us)]
     # repr tells -0.0 from 0.0 and prints every double exactly.
     assert repr([tuple(s) for s in iterate_decrements(x, n)]) == repr(list(enumerate(us)))
+    if not math.isfinite(sums[n]):
+        # Near DBL_MAX term 1 overflows; trace and partial_sum close every
+        # S_k by the identity, as _reference_eval_log does for the residual.
+        sums = [(x - 1.0) - q for q in quotients]
     rows = list(zip(range(n + 1), us, [0.0, *terms], sums, quotients))
     assert repr([tuple(r) for r in trace(x, n)]) == repr(rows)
-    # Near DBL_MAX term 1 overflows and partial_sum closes S_n by the
-    # identity, as _reference_eval_log does for the residual.
-    closed_sum = sums[n] if math.isfinite(sums[n]) else (x - 1.0) - quotients[n]
-    assert repr(partial_sum(x, n)) == repr(closed_sum)
+    assert repr(partial_sum(x, n)) == repr(sums[n])
     assert repr(difference_quotient(x, n)) == repr(quotients[n])
     if n >= 1 and x != 1.0:
         # At k = 1 for x near DBL_MAX, 2 * u_1**2 is beyond the float range:
