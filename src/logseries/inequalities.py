@@ -19,7 +19,7 @@ import random
 import sys
 from typing import Callable, NamedTuple, Sequence
 
-from .series import PositiveInput, _positive_value, _real, eval_log
+from .series import PositiveInput, _int_at_least, _positive_value, _real, eval_log
 
 __all__ = [
     "AmgmReport",
@@ -155,6 +155,7 @@ def _sweep(
     count: int,
     seed: int,
 ) -> SweepReport:
+    count = _int_at_least(count, "count", 1)
     rng = random.Random(seed)
     min_margin = math.inf
     worst: tuple = ()

@@ -30,7 +30,7 @@ package (and every CLI command but ``check integral``) does not load it.
 import math
 from typing import NamedTuple
 
-from .series import PositiveInput, _positive_value
+from .series import PositiveInput, _int_at_least, _positive_value
 
 __all__ = ["QuadratureConfig", "double_integral_residual", "reference_log"]
 
@@ -53,14 +53,16 @@ class QuadratureConfig(_QuadratureConfigFields):
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace builds through _make: validate there too
 
     def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if isinstance(self.panels, bool) or not isinstance(self.panels, int):
-            raise ValueError(f"panels must be an integer, got {self.panels!r}")
-        if self.panels < 2 or self.panels % 2 != 0:
-            raise ValueError(f"panels must be an even integer >= 2, got {self.panels}")
-        if self.panels > MAX_PANELS:
-            raise ValueError(f"panels must be at most {MAX_PANELS}, got {self.panels}")
-        return self
+        (panels,) = _QuadratureConfigFields(*args, **kwargs)
+        try:  # a bad value of any type is a ValueError naming the field
+            panels = _int_at_least(panels, "panels", 2)
+            if panels % 2 != 0:
+                raise ValueError
+        except (TypeError, ValueError):
+            raise ValueError(f"panels must be an even integer >= 2, got {panels!r}") from None
+        if panels > MAX_PANELS:
+            raise ValueError(f"panels must be at most {MAX_PANELS}, got {panels}")
+        return super().__new__(cls, panels)
 
 
 def _simpson_weights(panels: int) -> "numpy.ndarray":
@@ -75,11 +77,11 @@ def _simpson_weights(panels: int) -> "numpy.ndarray":
 def double_integral_residual(x: "float | PositiveInput", config: "QuadratureConfig | None" = None) -> float:
     """Approximate x - 1 - log(x) by nested composite Simpson quadrature.
 
-    Outer nodes t_i span [1, x]; for each, the inner integral of 1/s**2
-    over [1, t_i] is done with the same rule.  The integrand is a square
-    in disguise, so the result is nonnegative up to quadrature and
-    rounding error, and the error falls off as panels**-4 for x in a
-    moderate range around 1.  ValueError where the result is not finite.
+    Outer nodes t_i span [1, x]; for each, the inner integral of 1/s**2 over [1, t_i]
+    is done with the same rule.  The integrand is a square in disguise, so the result
+    is nonnegative up to an error that falls off as panels**-4.  At 1024 panels that
+    error is below 1e-8 for x in about [0.05, 10]; far from 1 the result is wrong with
+    no warning (1067.0, not 10.51, at x = 1e-5).  ValueError where it is not finite.
     """
     import numpy as np
 

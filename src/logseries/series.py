@@ -46,6 +46,7 @@ takes at most about 70 steps for any x and n.
 """
 
 import math
+import operator
 from typing import NamedTuple
 
 __all__ = [
@@ -104,25 +105,22 @@ class EvalConfig(_EvalConfigFields):
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        tol = self.tol
-        if isinstance(tol, int) and not isinstance(tol, bool):
-            try:  # an int is accepted, as for x, and stored as a float
-                self = super().__new__(cls, float(tol), *self[1:])
-            except OverflowError:  # beyond the float range: stays an int and is refused below
-                pass
-        if not (isinstance(self.tol, float) and math.isfinite(self.tol)) or self.tol <= 0.0:
-            raise ValueError(f"tol must be a finite positive real, got {tol!r}")
-        if isinstance(self.max_terms, bool) or not isinstance(self.max_terms, int) or self.max_terms < 1:
-            raise ValueError(f"max_terms must be a positive integer, got {self.max_terms!r}")
-        factor = self.safety_factor
+        tol, max_terms, factor = fields = _EvalConfigFields(*args, **kwargs)
+        try:  # a bad value of any type is a ValueError naming the field
+            tol = _positive_value(tol)  # a finite positive real, as x is
+        except (TypeError, ValueError):
+            raise ValueError(f"tol must be a finite positive real, got {tol!r}") from None
         try:
-            bad = isinstance(factor, bool) or not math.isfinite(factor) or factor < 1.0
-        except TypeError:
-            bad = True
-        if bad:
-            raise ValueError(f"safety_factor must be >= 1, got {factor!r}")
-        return self
+            max_terms = _int_at_least(max_terms, "max_terms", 1)
+        except (TypeError, ValueError):
+            raise ValueError(f"max_terms must be a positive integer, got {max_terms!r}") from None
+        try:
+            factor = _real(factor, "safety_factor")
+            if factor < 1.0:
+                raise ValueError
+        except (TypeError, ValueError):
+            raise ValueError(f"safety_factor must be >= 1, got {fields.safety_factor!r}") from None
+        return super().__new__(cls, tol, max_terms, factor)
 
 
 class DecrementState(NamedTuple):
@@ -162,40 +160,39 @@ class LogApproxResult(NamedTuple):
     converged: bool
 
 
-_DEFAULT_CONFIG = EvalConfig()
-
-
 def _real(value, name: str) -> float:
-    """``value`` as a finite float.
+    """``value`` as a finite float.  A real is any object but a bool whose type has ``__float__``.
 
-    TypeError unless it is an int or a float (bool excluded); ValueError
-    for NaN, the infinities and ints too large for a float.
+    TypeError for anything else; ValueError for NaN, the infinities and values beyond the float range.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if type(value) is bool or not hasattr(type(value), "__float__"):
         raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
     try:
         value = float(value)
     except OverflowError:
-        raise ValueError(f"{name} must be a finite real, got an int beyond the float range") from None
+        raise ValueError(f"{name} must be a finite real, got a value beyond the float range") from None
     if not math.isfinite(value):
         raise ValueError(f"{name} must be a finite real, got {value!r}")
+    return value
+
+
+def _int_at_least(value, name: str, low: int) -> int:
+    """``value`` as an int >= ``low``.  An integer is any object but a bool whose type has ``__index__``."""
+    if type(value) is bool or not hasattr(type(value), "__index__"):
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+    value = operator.index(value)
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
     return value
 
 
 def _positive_value(x: "float | PositiveInput") -> float:
     if type(x) is float and 0.0 < x < math.inf:
         return x
-    if isinstance(x, PositiveInput):
-        return x.x
     return PositiveInput(x).x
 
 
-def _int_at_least(value: int, name: str, low: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
-    if value < low:
-        raise ValueError(f"{name} must be >= {low}, got {value}")
-    return value
+_DEFAULT_CONFIG = EvalConfig()
 
 
 def decrement_step(u: float) -> float:
@@ -275,7 +272,7 @@ def _decrements(x: float, n: int) -> list[float]:
 def iterate_decrements(x: "float | PositiveInput", n: int) -> list[DecrementState]:
     """Return [(0, u_0), (1, u_1), ..., (n, u_n)] for u_k = x**(2**-k) - 1."""
     xv = _positive_value(x)
-    _int_at_least(n, "n", 0)
+    n = _int_at_least(n, "n", 0)
     us = _decrements(xv, n)
     m = len(us) - 1
     us += [math.ldexp(us[m], m - k) for k in range(m + 1, n + 1)]
@@ -284,7 +281,7 @@ def iterate_decrements(x: "float | PositiveInput", n: int) -> list[DecrementStat
 
 def term(k: int, u_k: float) -> float:
     """Series term 2**(k-1) * u_k**2, scaled exactly via ldexp; ValueError past the float range."""
-    _int_at_least(k, "k", 1)
+    k = _int_at_least(k, "k", 1)
     u_k = _real(u_k, "u_k")
     if u_k <= -1.0:
         raise ValueError(f"u_k must be a finite real > -1, got {u_k!r}")
@@ -340,7 +337,7 @@ def tail_ratio(x: "float | PositiveInput", k: int) -> float:
     float range (k = 1 near DBL_MAX).
     """
     xv = _positive_value(x)
-    _int_at_least(k, "k", 1)
+    k = _int_at_least(k, "k", 1)
     if xv == 1.0:
         raise ValueError("tail_ratio is undefined at x = 1 (all terms are zero)")
     _, j, u, _, _ = _walk(xv, k, -1.0, 1.0)
@@ -360,7 +357,7 @@ def trace(x: "float | PositiveInput", n: int) -> list[TraceRow]:
     S_k + D_k reproduces x - 1 up to accumulated rounding.
     """
     xv = _positive_value(x)
-    _int_at_least(n, "n", 0)
+    n = _int_at_least(n, "n", 0)
     ldexp = math.ldexp
     us = _decrements(xv, n)
     m = len(us) - 1

@@ -84,11 +84,16 @@ def test_panel_validation():
 
 
 def _whole_grid_residual(xv: float, n: int) -> float:
-    """The oracle's formula with one whole (n + 1)**2 array per stage, as a reference for the row blocks."""
+    """The oracle's formula on the whole (n + 1)**2 grid at once, as a reference for the row blocks.
+
+    One array, updated in place: the same operations in the same order as 1 / (1 + outer)**2.
+    """
     frac = np.arange(n + 1) / n
     t_offsets = (xv - 1.0) * frac
-    s = 1.0 + np.outer(t_offsets, frac)
-    g = 1.0 / (s * s)
+    g = np.multiply.outer(t_offsets, frac)
+    np.add(1.0, g, out=g)
+    np.multiply(g, g, out=g)
+    np.divide(1.0, g, out=g)  # g = 1 / s**2
     w = _simpson_weights(n)
     inner = (g @ w) * (t_offsets / (3.0 * n))
     return float((w @ inner) * ((xv - 1.0) / (3.0 * n)))

@@ -1,8 +1,29 @@
-"""The five frozen records: repr, immutability, equality and construction."""
+"""The five frozen records: repr, immutability, equality and construction; the number rule."""
 
+from decimal import Decimal
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
-from logseries import AmgmReport, EvalConfig, PositiveInput, QuadratureConfig, SweepReport
+from logseries import (
+    AmgmReport,
+    EvalConfig,
+    PositiveInput,
+    QuadratureConfig,
+    SweepReport,
+    amgm_check,
+    concavity_check,
+    decrement_step,
+    difference_quotient,
+    eval_log,
+    iterate_decrements,
+    partial_sum,
+    sweep_tangent_line,
+    tail_ratio,
+    term,
+    trace,
+)
 
 # (record, field names in order, field values, repr)
 RECORDS = [
@@ -67,3 +88,76 @@ def test_replace_validates_like_construction():
     ):
         with pytest.raises(ValueError):
             bad()
+
+
+# The number rule: a real is any object but a bool whose type has __float__,
+# an integer any object but a bool whose type has __index__.  Each row is
+# (argument, call taking that argument, a plain value, the config field it
+# sets or None); a function refuses with TypeError, a config with a
+# ValueError naming the field.
+REAL_ARGUMENTS = [
+    ("eval_log.x", lambda v: eval_log(v), 2.0, None),
+    ("iterate_decrements.x", lambda v: iterate_decrements(v, 3), 2.0, None),
+    ("partial_sum.x", lambda v: partial_sum(v, 5), 2.0, None),
+    ("difference_quotient.x", lambda v: difference_quotient(v, 5), 2.0, None),
+    ("tail_ratio.x", lambda v: tail_ratio(v, 5), 2.0, None),
+    ("trace.x", lambda v: trace(v, 3), 2.0, None),
+    ("decrement_step.u", lambda v: decrement_step(v), 0.5, None),
+    ("term.u_k", lambda v: term(3, v), 0.5, None),
+    ("concavity_check.lam", lambda v: concavity_check(1.0, 4.0, v), 0.5, None),
+    ("amgm_check.values", lambda v: amgm_check([v, 8.0]), 2.0, None),
+    ("EvalConfig.tol", lambda v: EvalConfig(tol=v), 0.5, "tol"),
+    ("EvalConfig.safety_factor", lambda v: EvalConfig(safety_factor=v), 3.0, "safety_factor"),
+]
+INTEGER_ARGUMENTS = [
+    ("iterate_decrements.n", lambda v: iterate_decrements(2.0, v), 3, None),
+    ("partial_sum.n", lambda v: partial_sum(2.0, v), 5, None),
+    ("difference_quotient.n", lambda v: difference_quotient(2.0, v), 5, None),
+    ("trace.n", lambda v: trace(2.0, v), 3, None),
+    ("term.k", lambda v: term(v, 0.5), 3, None),
+    ("tail_ratio.k", lambda v: tail_ratio(2.0, v), 5, None),
+    ("EvalConfig.max_terms", lambda v: EvalConfig(max_terms=v), 5, "max_terms"),
+    ("QuadratureConfig.panels", lambda v: QuadratureConfig(v), 64, "panels"),
+    ("sweep_tangent_line.count", lambda v: sweep_tangent_line(count=v), 3, None),
+]
+NOT_NUMBERS = [True, "2", None, 2 + 0j]
+
+
+def _refused(call, value, field):
+    if field is None:
+        with pytest.raises(TypeError):
+            call(value)
+    else:
+        with pytest.raises(ValueError, match=field):
+            call(value)
+
+
+@pytest.mark.parametrize("name, call, plain, field", REAL_ARGUMENTS, ids=[row[0] for row in REAL_ARGUMENTS])
+def test_every_real_argument_follows_the_number_rule(name, call, plain, field):
+    expected = repr(call(plain))  # repr, so that a float32 or Fraction stored as such shows
+    alikes = [np.float32(plain), np.float64(plain), Fraction(plain), Decimal(plain), PositiveInput(plain)]
+    if plain.is_integer():
+        alikes += [int(plain), np.int64(plain)]
+    for value in alikes:
+        assert repr(call(value)) == expected, (name, value)
+    for value in NOT_NUMBERS:
+        _refused(call, value, field)
+
+
+@pytest.mark.parametrize("name, call, plain, field", INTEGER_ARGUMENTS, ids=[row[0] for row in INTEGER_ARGUMENTS])
+def test_every_integer_argument_follows_the_number_rule(name, call, plain, field):
+    expected = repr(call(plain))
+    for value in (np.int64(plain), np.int32(plain), np.uint8(plain)):
+        assert repr(call(value)) == expected, (name, value)
+    # Without __index__ a value is no integer, even when it equals one.
+    for value in NOT_NUMBERS + [float(plain), np.float64(plain), Fraction(plain), Decimal(plain)]:
+        _refused(call, value, field)
+
+
+def test_config_fields_are_stored_as_float_and_int():
+    assert EvalConfig(1, 5, 3) == EvalConfig(1.0, 5, 3.0)
+    assert type(EvalConfig(1, 5, 3).safety_factor) is float
+    assert repr(EvalConfig(1, 5, 3)) == "EvalConfig(tol=1.0, max_terms=5, safety_factor=3.0)"
+    assert type(EvalConfig(max_terms=np.int64(5)).max_terms) is int
+    assert type(EvalConfig(tol=np.float32(0.5)).tol) is float
+    assert type(QuadratureConfig(np.int64(64)).panels) is int
