@@ -160,12 +160,20 @@ class LogApproxResult(NamedTuple):
     converged: bool
 
 
+def _is_number(value, method: str, kinds: tuple) -> bool:
+    """The number rule: no bool, the type has ``method``, and a value with a dtype is a scalar of a kind in ``kinds``."""
+    if type(value) is bool or not hasattr(type(value), method):
+        return False
+    dtype = getattr(value, "dtype", None)  # numpy bools, complex numbers, strings and arrays have __float__ too
+    return dtype is None or (getattr(dtype, "kind", None) in kinds and getattr(value, "ndim", 0) == 0)
+
+
 def _real(value, name: str) -> float:
-    """``value`` as a finite float.  A real is any object but a bool whose type has ``__float__``.
+    """``value`` as a finite float.  A real is any object that passes :func:`_is_number` with ``__float__``.
 
     TypeError for anything else; ValueError for NaN, the infinities and values beyond the float range.
     """
-    if type(value) is bool or not hasattr(type(value), "__float__"):
+    if type(value) is not float and type(value) is not int and not _is_number(value, "__float__", ("i", "u", "f")):
         raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
     try:
         value = float(value)
@@ -177,8 +185,8 @@ def _real(value, name: str) -> float:
 
 
 def _int_at_least(value, name: str, low: int) -> int:
-    """``value`` as an int >= ``low``.  An integer is any object but a bool whose type has ``__index__``."""
-    if type(value) is bool or not hasattr(type(value), "__index__"):
+    """``value`` as an int >= ``low``.  An integer is any object that passes :func:`_is_number` with ``__index__``."""
+    if type(value) is not int and not _is_number(value, "__index__", ("i", "u")):
         raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
     value = operator.index(value)
     if value < low:

@@ -184,15 +184,12 @@ def test_sweeps_clean_at_modest_counts():
     assert sweep_amgm(count=100, seed=7).violations == 0
 
 
-def test_sweep_count_must_be_a_positive_integer():
+def test_sweep_count_below_one_is_refused():
+    # Types of count are covered by the number-rule table in test_records.
     for sweep in (sweep_tangent_line, sweep_tangent_at, sweep_concavity, sweep_amgm):
         for count in (-5, 0):
             with pytest.raises(ValueError, match="count"):
                 sweep(count=count)
-        for count in (True, 2.0):
-            with pytest.raises(TypeError, match="count"):
-                sweep(count=count)
-        assert sweep(count=1).checked == 1
 
 
 def test_sweep_reports_are_reproducible():

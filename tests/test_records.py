@@ -19,6 +19,9 @@ from logseries import (
     eval_log,
     iterate_decrements,
     partial_sum,
+    sweep_amgm,
+    sweep_concavity,
+    sweep_tangent_at,
     sweep_tangent_line,
     tail_ratio,
     term,
@@ -91,7 +94,8 @@ def test_replace_validates_like_construction():
 
 
 # The number rule: a real is any object but a bool whose type has __float__,
-# an integer any object but a bool whose type has __index__.  Each row is
+# an integer any object but a bool whose type has __index__; an object with a
+# numpy dtype must also be a scalar of a real (integer) kind.  Each row is
 # (argument, call taking that argument, a plain value, the config field it
 # sets or None); a function refuses with TypeError, a config with a
 # ValueError naming the field.
@@ -119,8 +123,12 @@ INTEGER_ARGUMENTS = [
     ("EvalConfig.max_terms", lambda v: EvalConfig(max_terms=v), 5, "max_terms"),
     ("QuadratureConfig.panels", lambda v: QuadratureConfig(v), 64, "panels"),
     ("sweep_tangent_line.count", lambda v: sweep_tangent_line(count=v), 3, None),
+    ("sweep_tangent_at.count", lambda v: sweep_tangent_at(count=v), 3, None),
+    ("sweep_concavity.count", lambda v: sweep_concavity(count=v), 3, None),
+    ("sweep_amgm.count", lambda v: sweep_amgm(count=v), 3, None),
 ]
-NOT_NUMBERS = [True, "2", None, 2 + 0j]
+# numpy bools, complex numbers, strings and arrays have __float__, but are no reals either.
+NOT_NUMBERS = [True, "2", None, 2 + 0j, np.True_, np.complex128(2 + 3j), np.str_("2"), np.array([2.0])]
 
 
 def _refused(call, value, field):
@@ -149,8 +157,8 @@ def test_every_integer_argument_follows_the_number_rule(name, call, plain, field
     expected = repr(call(plain))
     for value in (np.int64(plain), np.int32(plain), np.uint8(plain)):
         assert repr(call(value)) == expected, (name, value)
-    # Without __index__ a value is no integer, even when it equals one.
-    for value in NOT_NUMBERS + [float(plain), np.float64(plain), Fraction(plain), Decimal(plain)]:
+    # Without __index__, or as an array, a value is no integer, even when it equals one.
+    for value in NOT_NUMBERS + [float(plain), np.float64(plain), Fraction(plain), Decimal(plain), np.array([plain])]:
         _refused(call, value, field)
 
 
