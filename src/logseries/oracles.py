@@ -12,13 +12,12 @@ closed form, since the closed form would smuggle the answer in.  Both
 axes use the same panel count.  reference_log exposes the platform
 libm logarithm as a second, cheaper oracle.
 
-The (panels + 1)**2 inner nodes are never held at once.  The outer rows
-are walked in blocks of about _BLOCK_NODES nodes (256 KB of float64, small
-enough to stay in cache), each formed in place in one reused buffer and
-reduced against the Simpson weights into its slice of the inner integrals.
-The nodes, weights and elementwise arithmetic are those of the whole-grid
-formula; only how BLAS groups each row's dot product may differ, by an ulp
-or so.  Memory is O(panels), and MAX_PANELS bounds time, not memory.
+The inner nodes s_ij = 1 + (x - 1) * (f_i * f_j), f_i = i/panels, are symmetric
+bit for bit, so only the strip j >= i of the (panels + 1)**2 grid is formed, in
+row blocks of about _BLOCK_NODES nodes (256 KB, in cache) in one reused buffer.
+Each block's rows and mirrored columns add into the inner integrals, each still
+the Simpson sum over its own row but grouped differently, a few ulps from the
+whole-grid formula.  Memory is O(panels); MAX_PANELS bounds time, not memory.
 Where the arithmetic leaves the float range the result is not finite, and
 ValueError says so: from about x = 1e156 up the sum overflows, and from
 x = 2**-54 down fl(x - 1) is -1, so the last node is 0.
@@ -35,7 +34,7 @@ from .series import PositiveInput, _int_at_least, _positive_value
 __all__ = ["QuadratureConfig", "double_integral_residual", "reference_log"]
 
 
-# Memory is O(panels); the bound limits time: (4096 + 1)**2, about 16.8M nodes.
+# Memory is O(panels); the bound limits time: half of (4096 + 1)**2, about 8.4M nodes formed.
 MAX_PANELS = 4096
 
 # Nodes per row block: 32768 float64 are 256 KB, which stays in cache.
@@ -86,27 +85,31 @@ def double_integral_residual(x: "float | PositiveInput", config: "QuadratureConf
     import numpy as np
 
     xv = _positive_value(x)
-    cfg = config if config is not None else QuadratureConfig()
-    n = cfg.panels
+    if config is None:
+        config = QuadratureConfig()
+    elif not isinstance(config, QuadratureConfig):
+        raise TypeError(f"config must be a QuadratureConfig or None, got {type(config).__name__}")
+    n = config.panels
 
-    # Outer nodes t_i = 1 + (x - 1) * i/n; inner nodes s_ij = 1 + (t_i - 1) * j/n.
-    # Writing s as an outer product keeps both signed orientations consistent.
+    # t_i = 1 + (x - 1) * f_i, s_ij = 1 + (x - 1) * (f_i * f_j); block [lo, hi) forms columns lo..n.
     frac = np.arange(n + 1) / n
-    t_offsets = (xv - 1.0) * frac
     w = _simpson_weights(n)
-    inner = np.empty(n + 1)
-    rows = max(1, _BLOCK_NODES // (n + 1))
-    buf = np.empty((rows, n + 1))
+    inner = np.zeros(n + 1)
+    buf = np.empty(_BLOCK_NODES)
     with np.errstate(all="ignore"):
-        for a in range(0, n + 1, rows):
-            b = min(a + rows, n + 1)
-            s = buf[: b - a]
-            np.multiply.outer(t_offsets[a:b], frac, out=s)
-            s += 1.0
-            np.multiply(s, s, out=s)
-            np.divide(1.0, s, out=s)  # g = 1 / s**2
-            np.matmul(s, w, out=inner[a:b])
-        inner *= t_offsets / (3.0 * n)
+        lo = 0
+        while lo <= n:
+            hi = min(n + 1, lo + max(1, _BLOCK_NODES // (n + 1 - lo)))
+            g = buf[: (hi - lo) * (n + 1 - lo)].reshape(hi - lo, n + 1 - lo)
+            np.multiply.outer(frac[lo:hi], frac[lo:], out=g)
+            g *= xv - 1.0
+            g += 1.0
+            np.multiply(g, g, out=g)
+            np.divide(1.0, g, out=g)  # g = 1 / s**2
+            inner[lo:hi] += g @ w[lo:]
+            inner[hi:] += w[lo:hi] @ g[:, hi - lo :]  # columns past hi are rows hi..n, mirrored
+            lo = hi
+        inner *= (xv - 1.0) * frac / (3.0 * n)
         result = float((w @ inner) * ((xv - 1.0) / (3.0 * n)))
     if not math.isfinite(result):
         raise ValueError(f"the quadrature at x = {xv!r} is beyond the float range")

@@ -327,9 +327,12 @@ def eval_log(x: "float | PositiveInput", config: "EvalConfig | None" = None) -> 
     exception is raised for that case.
     """
     xv = _positive_value(x)
-    cfg = _DEFAULT_CONFIG if config is None else config
-    tol = cfg.tol
-    n, j, u, s, tail = _walk(xv, cfg.max_terms, tol, cfg.safety_factor)
+    if config is None:
+        config = _DEFAULT_CONFIG
+    elif not isinstance(config, EvalConfig):
+        raise TypeError(f"config must be an EvalConfig or None, got {type(config).__name__}")
+    tol = config.tol
+    n, j, u, s, tail = _walk(xv, config.max_terms, tol, config.safety_factor)
     log_value = math.ldexp(u, j)
     if not math.isfinite(s):
         # Near DBL_MAX term 1 overflows.  x - 1 dwarfs log(x) there, so the

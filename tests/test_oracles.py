@@ -86,11 +86,12 @@ def test_panel_validation():
 def _whole_grid_residual(xv: float, n: int) -> float:
     """The oracle's formula on the whole (n + 1)**2 grid at once, as a reference for the row blocks.
 
-    One array, updated in place: the same operations in the same order as 1 / (1 + outer)**2.
+    One array, updated in place: the same operations in the same order as 1 / (1 + (x - 1) * outer)**2.
     """
     frac = np.arange(n + 1) / n
     t_offsets = (xv - 1.0) * frac
-    g = np.multiply.outer(t_offsets, frac)
+    g = np.multiply.outer(frac, frac)
+    g *= xv - 1.0
     np.add(1.0, g, out=g)
     np.multiply(g, g, out=g)
     np.divide(1.0, g, out=g)  # g = 1 / s**2
@@ -100,8 +101,8 @@ def _whole_grid_residual(xv: float, n: int) -> float:
 
 
 def test_row_blocks_match_the_whole_grid_formula():
-    # Same nodes, weights and arithmetic; only BLAS's grouping of each row's
-    # dot product may change, which moves a result by a few ulps at most.
+    # Same nodes, weights and arithmetic; only the grouping of each row's sum
+    # (strip, mirrored columns, BLAS) may change, which moves a result by a few ulps at most.
     rng = random.Random(8)
     panel_counts = (2, 4, 64, 1000, 1024, 2048, 2050)
     for i in range(1001):
@@ -113,6 +114,37 @@ def test_row_blocks_match_the_whole_grid_formula():
         expected = _whole_grid_residual(x, panels)
         got = double_integral_residual(x, QuadratureConfig(panels))
         assert abs(got - expected) <= 4 * math.ulp(expected), (x, panels, got, expected)
+
+
+def _long_double_residual(xv: float, n: int) -> np.longdouble:
+    """The same nested Simpson sum in np.longdouble, from the oracle's own double inputs fl(x - 1) and fl(i/n).
+
+    Those inputs are shared: near x = 0.05 the rounding of fl(x - 1) alone moves the last node's
+    1/s**2 by about |x - 1|/x ulps in any double evaluation, so it is kept out of the comparison.
+    """
+    ld = np.longdouble
+    frac = (np.arange(n + 1) / n).astype(ld)
+    d = ld(xv - 1.0)
+    g = 1 / (1 + d * np.multiply.outer(frac, frac)) ** 2
+    w = _simpson_weights(n).astype(ld)
+    inner = (g @ w) * (d * frac / (3 * n))
+    return (w @ inner) * (d / (3 * n))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(np.float64).nmant, reason="long double is double here")
+def test_rounding_error_against_long_double():
+    # The node formula and the grouping of each sum cost no accuracy: a few ulps from the long double sum.
+    rng = random.Random(10)
+    panel_counts = (2, 4, 64, 250, 256, 512)
+    for i in range(600):
+        if i % 2:
+            x = math.exp(rng.uniform(math.log(0.05), math.log(10.0)))
+        else:
+            x = 1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** -rng.uniform(1.0, 12.0)
+        panels = panel_counts[i % len(panel_counts)]
+        expected = _long_double_residual(x, panels)
+        got = double_integral_residual(x, QuadratureConfig(panels))
+        assert abs(np.longdouble(got) - expected) <= 8 * math.ulp(float(expected)), (x, panels, got, expected)
 
 
 def test_memory_does_not_grow_with_the_grid():

@@ -2,6 +2,7 @@
 
 from decimal import Decimal
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from logseries import (
     concavity_check,
     decrement_step,
     difference_quotient,
+    double_integral_residual,
     eval_log,
     iterate_decrements,
     partial_sum,
@@ -169,3 +171,28 @@ def test_config_fields_are_stored_as_float_and_int():
     assert type(EvalConfig(max_terms=np.int64(5)).max_terms) is int
     assert type(EvalConfig(tol=np.float32(0.5)).tol) is float
     assert type(QuadratureConfig(np.int64(64)).panels) is int
+
+
+# A config argument is its record or None; a look-alike would skip the record's validation.
+CONFIG_ARGUMENTS = [
+    ("eval_log.config", lambda v: eval_log(2.0, v), EvalConfig(max_terms=5)),
+    ("double_integral_residual.config", lambda v: double_integral_residual(2.0, v), QuadratureConfig(4)),
+]
+NOT_CONFIGS = [
+    5,
+    64,
+    (1e-14, 96, 2.0),
+    SimpleNamespace(panels=3),
+    SimpleNamespace(panels=100000),
+    SimpleNamespace(tol=-1.0, max_terms=5, safety_factor=2.0),
+]
+
+
+@pytest.mark.parametrize("name, call, record", CONFIG_ARGUMENTS, ids=[row[0] for row in CONFIG_ARGUMENTS])
+def test_config_argument_is_its_record_or_none(name, call, record):
+    assert call(None) == call(type(record)())
+    assert call(record) != call(None)
+    other = QuadratureConfig() if isinstance(record, EvalConfig) else EvalConfig()
+    for value in NOT_CONFIGS + [other]:
+        with pytest.raises(TypeError, match="config"):
+            call(value)

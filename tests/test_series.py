@@ -324,11 +324,17 @@ def test_trace_single_row_and_validation():
         trace(9.0, -1)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.floats(min_value=1e-3, max_value=1e3))
-def test_property_telescoping(x):
-    defect = partial_sum(x, 25) + difference_quotient(x, 25) - (x - 1.0)
-    assert abs(defect) <= 1e-13 * max(1.0, abs(x - 1.0))
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=0.0, max_value=sys.float_info.max, exclude_min=True), st.integers(0, 80))
+def test_property_telescoping(x, n):
+    # Every row over the whole double range: S_k + D_k = x - 1, S_k nondecreasing, term_k >= 0.
+    rows = trace(x, n)
+    for prev, row in zip(rows, rows[1:]):
+        assert row.partial_sum >= prev.partial_sum, (x, row)
+    for row in rows:
+        assert row.term >= 0.0, (x, row)
+        defect = row.partial_sum + row.diff_quotient - (x - 1.0)
+        assert abs(defect) <= 1e-13 * max(1.0, abs(x - 1.0), abs(row.diff_quotient)), (x, row)
 
 
 @settings(max_examples=150, deadline=None)
