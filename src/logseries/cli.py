@@ -304,7 +304,7 @@ def _build_parser() -> _Parser:
     p_int = check_sub.add_parser("integral", help="series residual vs nested Simpson quadrature")
     p_int.add_argument("--x", type=float, default=None, help="single point; omit for the default grid")
     p_int.add_argument("--panels", type=int, default=QuadratureConfig().panels,
-                       help="Simpson panels per axis (default %(default)s)")
+                       help="Simpson panels per power-of-two piece (default %(default)s)")
     p_int.set_defaults(func=_cmd_check_integral)
 
     p_bench = sub.add_parser("bench", parents=[config], help="accuracy and timing over a log-spaced grid")

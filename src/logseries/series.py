@@ -95,10 +95,11 @@ class _EvalConfigFields(NamedTuple):
 class EvalConfig(_EvalConfigFields):
     """Stopping parameters for :func:`eval_log`.
 
-    The estimated tail of the series is ``safety_factor * term_n``; the
-    factor covers the worst case sum(r**j) = term_n * r / (1 - r) of a
-    geometric tail with ratio r <= 1/2, with slack because the actual
-    ratio sits slightly below 1/2 for x > 1 and approaches it from below.
+    The estimated tail is ``safety_factor * term_n``.  The true tail over
+    term_n is 2 * (u - log1p(u)) / u**2 at u = u_n: below 1 for x > 1, at
+    most 1.545 once u_n >= -1/2.  So the default 2 covers it, and factors
+    below about 1.55 need not for x < 1.  At a seeding step that leaves
+    u_n < -1/2 the estimate is inf, so the walk cannot stop there.
     """
 
     __slots__ = ()
@@ -220,10 +221,11 @@ def decrement_step(u: float) -> float:
 def _walk(x: float, n: int, tol: float, safety: float, us: "list | None" = None) -> tuple:
     """One pass over terms 1..n at x (not checked): (k, j, u_j, S_k, safety * term_k).
 
-    The pass stops at the first k with safety * term_k <= tol (never if
+    The pass stops at the first k with tail safety * term_k <= tol (never if
     tol < 0) or at n; j = min(k, m), m the cutoff.  u_0..u_j go to ``us``
     if given.  For x < 1/2 the leading u_k are fl(r - 1) of repeated square
-    roots r of x until r >= 1/2, where r - 1 is exact (Sterbenz).
+    roots r of x until r >= 1/2, where r - 1 is exact (Sterbenz).  The tail
+    is inf while u_k < -1/2, where safety * term_k bounds no tail.
     """
     sqrt = math.sqrt
     r = x
@@ -232,12 +234,14 @@ def _walk(x: float, n: int, tol: float, safety: float, us: "list | None" = None)
         us.append(u)
     s = 0.0
     tail = math.inf
+    factor = safety
     p = 0.5  # 2**(k-1) by doubling: u * u * p is the double ldexp(u * u, k - 1)
     k = 0
     for k in range(1, n + 1):
         if r < 0.5:
             r = sqrt(r)
             u = r - 1.0
+            factor = safety if u >= -0.5 else math.inf
         else:
             d = sqrt(1.0 + u) + 1.0
             if d == 2.0:
@@ -247,7 +251,7 @@ def _walk(x: float, n: int, tol: float, safety: float, us: "list | None" = None)
         p += p
         t = u * u * p
         s += t
-        tail = safety * t
+        tail = factor * t
         if us is not None:
             us.append(u)
         if tail <= tol:

@@ -162,12 +162,12 @@ def test_check_integral_at_point():
 
 
 def test_check_integral_failure_exits_two():
-    # 64 panels are too coarse for the oracle to meet 1e-8 at the far grid points.
+    # 64 panels are too coarse for the oracle to meet the absolute 1e-8 where the residual is largest.
     proc = run_cli("check", "integral", "--panels", "64")
     assert proc.returncode == 2
     lines = _stdout_text(proc).splitlines()
     failed = [lines[i - 1].split(":")[0] for i, line in enumerate(lines) if line == "FAIL: disagreement above 1e-08"]
-    assert failed == ["x = 0.25", "x = 5", "x = 10"]
+    assert failed == ["x = 2", "x = 5", "x = 10"]
     assert "PASS" not in lines
 
 
@@ -182,10 +182,10 @@ def test_check_integral_panels_above_bound_exits_one():
 
 
 def test_check_integral_beyond_the_float_range_exits_one():
-    proc = run_cli("check", "integral", "--x", "1e300")
+    proc = run_cli("check", "integral", "--x", "1e-200")
     assert proc.returncode == 1
     assert proc.stdout == b""
-    assert proc.stderr.decode().splitlines() == ["logseries: error: the quadrature at x = 1e+300 is beyond the float range"]
+    assert proc.stderr.decode().splitlines() == ["logseries: error: the quadrature at x = 1e-200 is beyond the float range"]
 
 
 def test_check_randomized_sweeps_pass():

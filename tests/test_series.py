@@ -246,6 +246,18 @@ def test_eval_log_respects_term_budget():
     assert result.converged is False
 
 
+def test_eval_log_does_not_stop_at_a_seeding_step_below_minus_half():
+    # There the tail exceeds safety_factor * term_k: x = 0.01 at tol = 2 stopped at term 1 with
+    # tail_estimate 1.62 and an error of 2.81.  Past the seeding the estimate bounds the error.
+    for x, tol in ((0.01, 2.0), (1e-6, 20.0)):
+        result = eval_log(x, EvalConfig(tol=tol))
+        assert result.converged
+        assert abs(result.log_value - math.log(x)) <= result.tail_estimate <= tol, (x, result)
+    result = eval_log(1e-6, EvalConfig(tol=20.0, max_terms=1))
+    assert result.tail_estimate == math.inf
+    assert result.converged is False
+
+
 def test_eval_config_defaults_and_validation():
     config = EvalConfig()
     assert config.tol == 1e-14
@@ -338,7 +350,7 @@ def test_property_telescoping(x, n):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.floats(min_value=1e-6, max_value=1e6))
+@given(st.floats(min_value=0.0, max_value=DBL_MAX, exclude_min=True))
 def test_property_eval_log_accuracy(x):
     result = eval_log(x)
     assert result.converged
@@ -431,7 +443,8 @@ def _reference_chain(x, n):
 def _reference_eval_log(x, cfg=EvalConfig()):
     # The term loop of eval_log, one step per term: the chain is stepped with
     # decrement_step, every term is ldexp(u_n**2, n - 1), and the stop test
-    # safety_factor * term_n <= tol runs after each term is added.
+    # safety_factor * term_n <= tol runs after each term is added.  Only a
+    # seeding step leaves u_n < -1/2, and there the tail estimate is inf.
     us = _reference_chain(x, cfg.max_terms)
     s = 0.0
     u = 0.0
@@ -441,7 +454,7 @@ def _reference_eval_log(x, cfg=EvalConfig()):
         u = us[n]
         t = math.ldexp(u * u, n - 1)
         s += t
-        tail = cfg.safety_factor * t
+        tail = cfg.safety_factor * t if u >= -0.5 else math.inf
         if tail <= cfg.tol:
             break
     log_value = math.ldexp(u, n)
