@@ -22,18 +22,20 @@ which is the same map algebraically and keeps the relative error of u_k
 at O(k * eps).  For x < 1/2 the chain is seeded from square roots of x
 itself: fl(x - 1) would discard the low bits of x, an absolute error of
 order eps that no later step can recover and that inflates to eps/x in
-the computed logarithm.  Once the repeated root reaches [1/2, 1) the
-subtraction r - 1 is exact and the recurrence takes over.
+the computed logarithm.  Once the repeated root r reaches [1/2, 1) the
+subtraction r - 1 is exact (Sterbenz) and the recurrence takes over.
 
 Every public function here validates x once and is then a view over one
 pass of :func:`_walk`, which carries u_k, the term 2**(k-1) * u_k**2 (the
-power of two kept by doubling, so scaling by it is exact), the running
-sum S_k and the stopping test together.  The chain itself ends at the first
-step m whose denominator sqrt(1 + u_m) + 1 rounds to exactly 2, which
-happens once |u_m| is below about 2**-52.  u only shrinks toward 0 from
-there, and rounding is monotone, so every later denominator is 2 as well
-and every later step is an exact halving.  The rest of the chain is
-therefore scaling by powers of two:
+power of two kept by doubling, so scaling by it is exact), the running sum
+S_k and the stopping test together.  The views that read only u (the
+quotient, the tail ratio, the chain, and :func:`trace`, which sums its
+rows itself) run the pass in its chain-only mode, which forms no term or
+sum.  The chain ends at the first step m whose denominator
+sqrt(1 + u_m) + 1 rounds to exactly 2, once |u_m| is below about 2**-52.
+u only shrinks toward 0 from there, and rounding is monotone, so every later
+denominator is 2 as well and every later step is an exact halving.  The
+rest of the chain is therefore scaling by powers of two:
 
     u_k = u_m * 2**(m-k),  term_k = u_m**2 * 2**(2m-k-1),  D_k = 2**m * u_m
 
@@ -77,10 +79,7 @@ class PositiveInput(_PositiveInputFields):
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace builds through _make: validate there too
 
     def __new__(cls, x):
-        x = _real(x, "x")
-        if x <= 0.0:
-            raise ValueError(f"x must be a finite positive real, got {x!r}")
-        return super().__new__(cls, x)
+        return super().__new__(cls, _real_above(x, "x", 0.0, "a finite positive real"))
 
     def __float__(self) -> float:
         return self.x
@@ -201,6 +200,14 @@ def _positive_value(x: "float | PositiveInput") -> float:
     return PositiveInput(x).x
 
 
+def _real_above(value, name: str, low: float, what: str) -> float:
+    """``value`` as a finite float > ``low``: x > 0 for the logarithm, u > -1 for a decrement x**w - 1."""
+    value = _real(value, name)
+    if value <= low:
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
 _DEFAULT_CONFIG = EvalConfig()
 
 
@@ -212,9 +219,7 @@ def decrement_step(u: float) -> float:
     u >= 0 (for -1 < u < 0 the magnitude still shrinks, the factor
     tending to 1/2 as u -> 0).
     """
-    u = _real(u, "u")
-    if u <= -1.0:
-        raise ValueError(f"u must be a finite real > -1, got {u!r}")
+    u = _real_above(u, "u", -1.0, "a finite real > -1")
     return u / (math.sqrt(1.0 + u) + 1.0)
 
 
@@ -222,10 +227,10 @@ def _walk(x: float, n: int, tol: float, safety: float, us: "list | None" = None)
     """One pass over terms 1..n at x (not checked): (k, j, u_j, S_k, safety * term_k).
 
     The pass stops at the first k with tail safety * term_k <= tol (never if
-    tol < 0) or at n; j = min(k, m), m the cutoff.  u_0..u_j go to ``us``
-    if given.  For x < 1/2 the leading u_k are fl(r - 1) of repeated square
-    roots r of x until r >= 1/2, where r - 1 is exact (Sterbenz).  The tail
-    is inf while u_k < -1/2, where safety * term_k bounds no tail.
+    tol < 0) or at n; j = min(k, m), m the cutoff.  The tail is inf while a
+    seeding step leaves u_k < -1/2, where safety * term_k bounds no tail.
+    Given a list ``us``, the pass is the chain alone: it appends u_0..u_j,
+    forms no term or sum and returns (j, j, u_j, 0.0, inf), j = min(n, m).
     """
     sqrt = math.sqrt
     r = x
@@ -245,18 +250,22 @@ def _walk(x: float, n: int, tol: float, safety: float, us: "list | None" = None)
         else:
             d = sqrt(1.0 + u) + 1.0
             if d == 2.0:
-                k -= 1
+                j = k - 1
+                if us is not None:
+                    return j, j, u, s, tail
                 break
             u /= d
+        if us is not None:
+            us.append(u)
+            continue
         p += p
         t = u * u * p
         s += t
         tail = factor * t
-        if us is not None:
-            us.append(u)
         if tail <= tol:
             return k, k, u, s, tail
-    j = k
+    else:
+        j = k
     # Past the cutoff u_k = ldexp(u_j, j - k), so term_k = ldexp(u_j**2, 2j - k - 1).
     ldexp = math.ldexp
     u2 = u * u
@@ -274,29 +283,25 @@ def _walk(x: float, n: int, tol: float, safety: float, us: "list | None" = None)
     return k, j, u, s, tail
 
 
-def _decrements(x: float, n: int) -> list[float]:
-    """[u_0, ..., u_j] for u_k = x**(2**-k) - 1, j = min(n, m); x is not checked."""
-    us = []
-    _walk(x, n, -1.0, 1.0, us)
-    return us
+def _closed_sum(x: float, d: float) -> float:
+    """S = (x - 1) - D, for S past the float range: x - 1 dwarfs D = log(x) there, so nothing cancels."""
+    return (x - 1.0) - d
 
 
 def iterate_decrements(x: "float | PositiveInput", n: int) -> list[DecrementState]:
     """Return [(0, u_0), (1, u_1), ..., (n, u_n)] for u_k = x**(2**-k) - 1."""
     xv = _positive_value(x)
     n = _int_at_least(n, "n", 0)
-    us = _decrements(xv, n)
-    m = len(us) - 1
-    us += [math.ldexp(us[m], m - k) for k in range(m + 1, n + 1)]
+    us = []
+    _, m, u, _, _ = _walk(xv, n, -1.0, 1.0, us)
+    us += [math.ldexp(u, m - k) for k in range(m + 1, n + 1)]
     return [DecrementState(k, u) for k, u in enumerate(us)]
 
 
 def term(k: int, u_k: float) -> float:
     """Series term 2**(k-1) * u_k**2, scaled exactly via ldexp; ValueError past the float range."""
     k = _int_at_least(k, "k", 1)
-    u_k = _real(u_k, "u_k")
-    if u_k <= -1.0:
-        raise ValueError(f"u_k must be a finite real > -1, got {u_k!r}")
+    u_k = _real_above(u_k, "u_k", -1.0, "a finite real > -1")
     try:
         return math.ldexp(u_k * u_k, k - 1)
     except OverflowError:
@@ -311,12 +316,12 @@ def partial_sum(x: "float | PositiveInput", n: int) -> float:
     """
     xv = _positive_value(x)
     _, j, u, s, _ = _walk(xv, _int_at_least(n, "n", 0), -1.0, 1.0)
-    return s if math.isfinite(s) else (xv - 1.0) - math.ldexp(u, j)  # term 1 overflows near DBL_MAX
+    return s if math.isfinite(s) else _closed_sum(xv, math.ldexp(u, j))
 
 
 def difference_quotient(x: "float | PositiveInput", n: int) -> float:
     """D_n = 2**n * u_n, the difference-quotient approximation to log(x)."""
-    _, j, u, _, _ = _walk(_positive_value(x), _int_at_least(n, "n", 0), -1.0, 1.0)
+    _, j, u, _, _ = _walk(_positive_value(x), _int_at_least(n, "n", 0), -1.0, 1.0, [])
     return math.ldexp(u, j)  # past m, u_n = ldexp(u_m, m - n) and so D_n = D_m
 
 
@@ -335,14 +340,11 @@ def eval_log(x: "float | PositiveInput", config: "EvalConfig | None" = None) -> 
         config = _DEFAULT_CONFIG
     elif not isinstance(config, EvalConfig):
         raise TypeError(f"config must be an EvalConfig or None, got {type(config).__name__}")
-    tol = config.tol
-    n, j, u, s, tail = _walk(xv, config.max_terms, tol, config.safety_factor)
+    n, j, u, s, tail = _walk(xv, config.max_terms, config.tol, config.safety_factor)
     log_value = math.ldexp(u, j)
     if not math.isfinite(s):
-        # Near DBL_MAX term 1 overflows.  x - 1 dwarfs log(x) there, so the
-        # identity S_n + D_n = x - 1 gives the residual without cancellation.
-        s = (xv - 1.0) - log_value
-    return LogApproxResult(log_value, s, n, tail, tail <= tol)
+        s = _closed_sum(xv, log_value)
+    return LogApproxResult(log_value, s, n, tail, tail <= config.tol)
 
 
 def tail_ratio(x: "float | PositiveInput", k: int) -> float:
@@ -355,12 +357,10 @@ def tail_ratio(x: "float | PositiveInput", k: int) -> float:
     k = _int_at_least(k, "k", 1)
     if xv == 1.0:
         raise ValueError("tail_ratio is undefined at x = 1 (all terms are zero)")
-    _, j, u, _, _ = _walk(xv, k, -1.0, 1.0)
-    try:
-        ratio = math.ldexp(u * u, 2 * j - 1)  # past m, 2**(2k-1) * u_k**2 = 2**(2m-1) * u_m**2
-    except OverflowError:
-        ratio = math.inf
-    if ratio == math.inf:  # u * u itself is inf at k = 1 near DBL_MAX, and ldexp(inf, 1) does not raise
+    _, j, u, _, _ = _walk(xv, k, -1.0, 1.0, [])
+    # Past m, 2**(2k-1) * u_k**2 = 2**(2m-1) * u_m**2.  u_j**2 is normal or inf, so the scaling is exact or inf.
+    ratio = u * u * 2.0 ** (2 * j - 1)
+    if ratio == math.inf:
         raise ValueError(f"tail_ratio({xv!r}, {k}) is beyond the float range")
     return ratio
 
@@ -374,8 +374,8 @@ def trace(x: "float | PositiveInput", n: int) -> list[TraceRow]:
     xv = _positive_value(x)
     n = _int_at_least(n, "n", 0)
     ldexp = math.ldexp
-    us = _decrements(xv, n)
-    m = len(us) - 1
+    us = []
+    _, m, _, _, _ = _walk(xv, n, -1.0, 1.0, us)
     rows = [TraceRow(0, us[0], 0.0, 0.0, us[0])]
     s = 0.0
     for k in range(1, n + 1):
@@ -385,6 +385,5 @@ def trace(x: "float | PositiveInput", n: int) -> list[TraceRow]:
         s += t
         rows.append(TraceRow(k, ldexp(u, j - k), t, s, ldexp(u, j)))
     if not math.isfinite(s):
-        # Term 1 overflows near DBL_MAX: close every S_k by the identity, as partial_sum does.
-        rows = [TraceRow(k, u, t, (xv - 1.0) - d, d) for k, u, t, _, d in rows]
+        rows = [TraceRow(k, u, t, _closed_sum(xv, d), d) for k, u, t, _, d in rows]
     return rows

@@ -111,14 +111,16 @@ def test_rounding_level_at_max_panels():
 
 
 def test_memory_does_not_grow_with_the_grid():
-    double_integral_residual(2.0, QuadratureConfig(64))  # numpy's own first-call allocations
+    double_integral_residual(2.0, QuadratureConfig(64))  # one-time first-call allocations stay out of the peak
     tracemalloc.start()
     try:
         double_integral_residual(2.0, QuadratureConfig(2048))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2e6  # the whole 2049 x 2049 grid is 33.6 MB per array
+    # The oracle sums node by node and keeps no array, so its peak is O(1) in
+    # panels; the loose bound catches any return to storage that grows as panels**2.
+    assert peak < 2e6
 
 
 def test_beyond_the_float_range_is_a_value_error():

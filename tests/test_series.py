@@ -22,7 +22,7 @@ from logseries.series import (
     term,
     trace,
 )
-from logseries.series import _decrements
+from logseries.series import _walk
 
 DBL_MAX = sys.float_info.max
 
@@ -463,9 +463,16 @@ def _reference_eval_log(x, cfg=EvalConfig()):
     return (log_value, s, n, tail, tail <= cfg.tol)
 
 
+def _walked_chain(x, n):
+    # _walk's chain-only mode: [u_0, ..., u_j], j = min(n, m), and no terms.
+    us = []
+    _walk(x, n, -1.0, 1.0, us)
+    return us
+
+
 def test_walk_stops_where_steps_become_exact_halvings():
     for x in (1e-300, 0.3, 2.0, 1e300):
-        us = _decrements(x, 10**6)
+        us = _walked_chain(x, 10**6)
         assert decrement_step(us[-1]) == us[-1] / 2
         assert decrement_step(us[-2]) == us[-1]
 
@@ -475,7 +482,7 @@ def test_walk_length_bounded_over_double_range():
     rng = random.Random(20)
     xs = [5e-324, sys.float_info.min, 0.5, math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0), 2.0, DBL_MAX]
     xs += [math.exp(rng.uniform(-744.0, 709.7)) for _ in range(2000)]
-    assert max(len(_decrements(x, 10**6)) for x in xs) <= 70
+    assert max(len(_walked_chain(x, 10**6)) for x in xs) <= 70
 
 
 @pytest.mark.parametrize("n", [1070, 1100, 5000])
@@ -534,6 +541,33 @@ def test_property_eval_log_stopping_rule_under_any_config(x, tol, max_terms, saf
     # each term and then tests, one decrement_step per term.
     cfg = EvalConfig(tol=tol, max_terms=max_terms, safety_factor=safety_factor)
     assert repr(tuple(eval_log(x, cfg))) == repr(_reference_eval_log(x, cfg))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.floats(min_value=0.0, max_value=DBL_MAX, exclude_min=True),
+        st.floats(min_value=1.0, max_value=15.0).map(lambda e: 1.0 - 10.0**-e),
+    ),
+    st.floats(min_value=-300.0, max_value=3.0).map(lambda e: 10.0**e),
+    st.integers(min_value=1, max_value=300),
+    st.floats(min_value=1.55, max_value=10.0),
+)
+def test_property_tail_estimate_bounds_the_exact_tail(x, tol, max_terms, safety_factor):
+    # The exact tail past term n is x - 1 - log(x) - S_n = D_n - log(x) = 2**n * (u_n - log1p(u_n)).
+    # It is compared with the estimate itself, not with the exact residual
+    # minus the computed S_n: once tol is below S_n's rounding, that
+    # difference is rounding error.
+    result = eval_log(x, EvalConfig(tol=tol, max_terms=max_terms, safety_factor=safety_factor))
+    if not math.isfinite(result.tail_estimate):
+        return
+    n = result.terms_used
+    with mpmath.workprec(300):
+        u = mpmath.expm1(mpmath.log(x) / 2**n)
+    # u_n - log1p(u_n) cancels about -log2|u_n| bits: carry that many more.
+    with mpmath.workprec(300 + max(0, -mpmath.mag(u)) if u else 300):
+        exact_tail = mpmath.ldexp(u - mpmath.log1p(u), n)
+    assert mpmath.mpf(result.tail_estimate) >= exact_tail
 
 
 def test_log_approx_result_is_an_immutable_record():
