@@ -1,9 +1,11 @@
 """Independent cross-checks for the series evaluator.
 
 x - 1 - log(x) is the double integral of 1/s**2 over t in [1, x], s in [1, t]
-(for x < 1 both orientations flip, so it stays nonnegative).  Composite
-Simpson quadrature of it, inner integral included (its closed form would
-smuggle the answer in), shares no code and no algebraic identity with the
+(for x < 1 both orientations flip, so it stays nonnegative).  Exchanging the
+order of integration, an exact step, makes it the single integral of
+(x - s)/s**2 over s in [1, x].  Composite Simpson quadrature of that takes no
+antiderivative (the closed form would smuggle the answer in) and no log or
+square root, so it shares no code and no algebraic identity with the
 square-root recurrence: agreement is evidence, not tautology.  reference_log
 exposes the platform libm logarithm as a second, cheaper oracle.
 
@@ -13,8 +15,9 @@ so every breakpoint is exact and no logarithm is taken.  1/s**2 changes by at
 most a factor of 4 on a piece, so ``panels`` panels per piece give about the
 same relative error, of order panels**-4, at every x.  The work is pure Python,
 O(pieces * panels) time and O(1) memory.  Where the arithmetic leaves the float
-range, ValueError says so: from about x = 2**-500 down the inner sums overflow,
-and near x = DBL_MAX the outer sum rounds past it.
+range, ValueError says so: the integrand peaks at 1/(4x) for x < 1/2, so it
+overflows from about x = 2**-1026 down whatever the panel count, and near
+x = DBL_MAX the sum rounds past it.
 """
 
 import math
@@ -25,7 +28,7 @@ from .series import PositiveInput, _int_at_least, _positive_value
 __all__ = ["QuadratureConfig", "double_integral_residual", "reference_log"]
 
 
-# The bound limits time: pieces * panels nodes, and x = 1e308 has 1024 pieces, about 4.2M nodes at 4096.
+# The bound limits time: pieces * panels nodes, and x = 1e308 or 2**-1025 has about 1024 pieces, 4.2M nodes at 4096.
 MAX_PANELS = 4096
 
 
@@ -52,37 +55,34 @@ class QuadratureConfig(_QuadratureConfigFields):
         return super().__new__(cls, panels)
 
 
-def _piece(a: float, b: float, inner: float, n: int) -> tuple:
-    """Nested Simpson on [a, b] in n panels of width h, given I(a): (the outer integral over [a, b], I(b)).
+def _piece(a: float, b: float, d: float, n: int) -> float:
+    """Composite Simpson on [a, b] in n panels of the integrand (x - s)/s**2, given d = x - b.
 
-    With f = 1/s**2 at the nodes, I(t_i) = I(a) + h/12 * e_i, where e_i adds a Simpson pair
-    4 * (f0 + 4 f1 + f2) at each even node and the half-panel rule 5 f0 + 8 f1 - f2 at each
-    odd one.  The outer sum h/3 * sum(w_i * I(t_i)) is then (b - a) * I(a) + h**2/36 * sum(w_i * e_i).
+    The nodes run from the piece end, s = b - j*h, so x - s is formed as d + j*h, a sum of
+    two numbers of one sign, with no cancellation next to x.  Each node adds (x - s)/s**2
+    times its Simpson weight h/3, 4h/3 or 2h/3, so no partial sum passes the result, and the
+    two end nodes are scaled one by one: their sum alone can pass DBL_MAX.
     """
     h = (b - a) / n
-    f0 = 1.0 / (a * a)
-    e = 0.0  # e at the last even node
-    acc = 0.0  # sum(w_i * e_i) so far, weighting the last even node 2
-    for i in range(1, n, 2):
-        t1 = a + i * h
-        t2 = a + (i + 1) * h
-        f1 = 1.0 / (t1 * t1)
-        f2 = 1.0 / (t2 * t2)
-        # 4 * (e + 5 f0 + 8 f1 - f2) at the odd node plus 2 * (e + 4 * (f0 + 4 f1 + f2)) at the even one.
-        acc += 6.0 * e + 28.0 * f0 + 64.0 * f1 + 4.0 * f2
-        e += 4.0 * (f0 + 4.0 * f1 + f2)
-        f0 = f2
-    acc -= e  # the end node weighs 1
-    # h * acc first: h * h leaves the float range at both ends of it.
-    return (b - a) * inner + h * acc * h / 36.0, inner + h / 12.0 * e
+    w1 = h / 3.0
+    w2 = w1 + w1
+    w4 = w2 + w2
+    # The loop adds the last node, j = n or s = a, with weight 2 instead of 1: start it at -1.
+    acc = d / b / b * w1 - (d + (b - a)) / a / a * w1
+    for j in range(1, n, 2):
+        t = j * h
+        u = t + h
+        s = b - t
+        r = b - u
+        acc += (d + t) / s / s * w4 + (d + u) / r / r * w2
+    return acc
 
 
 def double_integral_residual(x: "float | PositiveInput", config: "QuadratureConfig | None" = None) -> float:
-    """Approximate x - 1 - log(x) by nested composite Simpson quadrature on a graded mesh.
+    """Approximate x - 1 - log(x) by composite Simpson quadrature of (x - s)/s**2 on a graded mesh.
 
-    The inner integral of 1/s**2 from 1 to each node is built on the same nodes.  The
-    result is nonnegative, with a relative error below 1e-12 at 1024 panels for x from
-    about 2**-500 to 1e308.  ValueError where it is not finite.
+    The result is nonnegative, with a relative error below 1e-12 at 1024 panels for x from
+    about 2**-1026 to 1e308.  ValueError where it is not finite.
     """
     xv = _positive_value(x)
     if config is None:
@@ -92,12 +92,10 @@ def double_integral_residual(x: "float | PositiveInput", config: "QuadratureConf
     n = config.panels
 
     result = 0.0
-    inner = 0.0  # I(a) = the inner integral from 1 to the piece's start a
     a = 1.0
     while a != xv and math.isfinite(result):  # stop at the first piece that leaves the float range
         b = min(a + a, xv) if xv > a else max(0.5 * a, xv)
-        piece, inner = _piece(a, b, inner, n)
-        result += piece
+        result += _piece(a, b, xv - b, n)
         a = b
     if not math.isfinite(result):
         raise ValueError(f"the quadrature at x = {xv!r} is beyond the float range")

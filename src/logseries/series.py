@@ -105,21 +105,15 @@ class EvalConfig(_EvalConfigFields):
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, *args, **kwargs):
-        tol, max_terms, factor = fields = _EvalConfigFields(*args, **kwargs)
+        tol, max_terms, factor = _EvalConfigFields(*args, **kwargs)
         try:  # a bad value of any type is a ValueError naming the field
-            tol = _positive_value(tol)  # a finite positive real, as x is
-        except (TypeError, ValueError):
-            raise ValueError(f"tol must be a finite positive real, got {tol!r}") from None
-        try:
+            tol = _real_above(tol, "tol", 0.0, "a finite positive real")
             max_terms = _int_at_least(max_terms, "max_terms", 1)
-        except (TypeError, ValueError):
-            raise ValueError(f"max_terms must be a positive integer, got {max_terms!r}") from None
-        try:
             factor = _real(factor, "safety_factor")
-            if factor < 1.0:
-                raise ValueError
-        except (TypeError, ValueError):
-            raise ValueError(f"safety_factor must be >= 1, got {fields.safety_factor!r}") from None
+        except TypeError as exc:
+            raise ValueError(str(exc)) from None
+        if factor < 1.0:
+            raise ValueError(f"safety_factor must be >= 1, got {factor!r}")
         return super().__new__(cls, tol, max_terms, factor)
 
 
@@ -303,9 +297,12 @@ def term(k: int, u_k: float) -> float:
     k = _int_at_least(k, "k", 1)
     u_k = _real_above(u_k, "u_k", -1.0, "a finite real > -1")
     try:
-        return math.ldexp(u_k * u_k, k - 1)
-    except OverflowError:
-        raise ValueError(f"term({k}, {u_k!r}) is beyond the float range") from None
+        t = math.ldexp(u_k * u_k, k - 1)
+    except OverflowError:  # a finite u_k**2 scaled past the float range
+        t = math.inf
+    if t == math.inf:  # or u_k**2 is inf already, which ldexp passes through
+        raise ValueError(f"term({k}, {u_k!r}) is beyond the float range")
+    return t
 
 
 def partial_sum(x: "float | PositiveInput", n: int) -> float:

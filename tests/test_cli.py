@@ -182,10 +182,10 @@ def test_check_integral_panels_above_bound_exits_one():
 
 
 def test_check_integral_beyond_the_float_range_exits_one():
-    proc = run_cli("check", "integral", "--x", "1e-200")
+    proc = run_cli("check", "integral", "--x", "1e-310")
     assert proc.returncode == 1
     assert proc.stdout == b""
-    assert proc.stderr.decode().splitlines() == ["logseries: error: the quadrature at x = 1e-200 is beyond the float range"]
+    assert proc.stderr.decode().splitlines() == ["logseries: error: the quadrature at x = 1e-310 is beyond the float range"]
 
 
 def test_check_randomized_sweeps_pass():

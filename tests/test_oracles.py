@@ -92,13 +92,13 @@ def _relative_error(x: float, q: float) -> float:
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.floats(min_value=2.0**-500, max_value=1e300))
+@given(st.floats(min_value=2.0**-1020, max_value=1e300))
 def test_property_relative_error_over_the_range(x):
     # The graded mesh keeps 1/s**2 within a factor 4 on every piece, so the relative error is uniform.
     assert _relative_error(x, double_integral_residual(x, QuadratureConfig(256))) <= 1e-9
 
 
-@pytest.mark.parametrize("x", [1e-5, 1e-10, 1e300])
+@pytest.mark.parametrize("x", [1e-5, 1e-10, 1e-300, 1e300])
 def test_far_from_one_at_default_panels(x):
     # Uniform nodes on [x, 1] gave 1067.0 at x = 1e-5, where x - 1 - log x is 10.51.
     assert _relative_error(x, double_integral_residual(x, QuadratureConfig(1024))) <= 1e-11
@@ -123,11 +123,19 @@ def test_memory_does_not_grow_with_the_grid():
     assert peak < 2e6
 
 
+def test_finite_down_to_the_integrand_limit():
+    # (x - s)/s**2 peaks at 1/(4x), so it stays finite to about x = 2**-1026 whatever the panel count.
+    x = 2.0**-1025
+    for panels in (64, 1024, MAX_PANELS):
+        assert math.isfinite(double_integral_residual(x, QuadratureConfig(panels))), panels
+    assert _relative_error(x, double_integral_residual(x, QuadratureConfig(1024))) <= 1e-11
+
+
 def test_beyond_the_float_range_is_a_value_error():
-    # The inner sums (small x) or the outer sum (DBL_MAX) leave the float range; no inf, no other error, no warning.
+    # The integrand (small x) or the sum (DBL_MAX) leaves the float range; no inf, no other error, no warning.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for x in (sys.float_info.max, 1e-200, 5e-324):
+        for x in (sys.float_info.max, 1e-310, 5e-324):
             with pytest.raises(ValueError, match=re.escape(repr(x))):
                 double_integral_residual(x)
         assert math.isfinite(double_integral_residual(1e300))
