@@ -7,6 +7,7 @@ lines start with '#' and appear only before the header row.
 """
 
 import argparse
+import math
 import sys
 import time
 
@@ -85,7 +86,11 @@ def _parse_grid(text: str) -> list[float]:
     if count == 1:
         return [lo]
     ratio = hi / lo
-    points = [lo * ratio ** (i / (count - 1)) for i in range(count)]
+    if 0.0 < ratio < math.inf:
+        points = [lo * ratio ** (i / (count - 1)) for i in range(count)]
+    else:  # hi / lo is beyond the float range, but its logarithm is not
+        a, b = math.log(lo), math.log(hi)
+        points = [math.exp(a + (b - a) * i / (count - 1)) for i in range(count)]
     points[0], points[-1] = lo, hi  # pin endpoints against rounding drift
     return points
 
@@ -198,7 +203,7 @@ def _cmd_check_integral(args) -> int:
     failed = False
     for x in INTEGRAL_GRID if args.x is None else (args.x,):
         quad = double_integral_residual(x, config)
-        series_residual = x - 1.0 - eval_log(x).log_value
+        series_residual = tangent_line_gap(x)
         diff = abs(quad - series_residual)
         print(
             f"x = {_fmt(x)}: quadrature = {_fmt(quad)}, series = {_fmt(series_residual)}, "

@@ -88,33 +88,22 @@ class PositiveInput(_PositiveInputFields):
 class _EvalConfigFields(NamedTuple):
     tol: float = 1e-14
     max_terms: int = 96
-    safety_factor: float = 2.0
 
 
 class EvalConfig(_EvalConfigFields):
-    """Stopping parameters for :func:`eval_log`.
-
-    The estimated tail is ``safety_factor * term_n``.  The true tail over
-    term_n is 2 * (u - log1p(u)) / u**2 at u = u_n: below 1 for x > 1, at
-    most 1.545 once u_n >= -1/2.  So the default 2 covers it, and factors
-    below about 1.55 need not for x < 1.  At a seeding step that leaves
-    u_n < -1/2 the estimate is inf, so the walk cannot stop there.
-    """
+    """Stopping parameters for :func:`eval_log`: the tolerance on the tail estimate, and the term budget."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, *args, **kwargs):
-        tol, max_terms, factor = _EvalConfigFields(*args, **kwargs)
+        tol, max_terms = _EvalConfigFields(*args, **kwargs)
         try:  # a bad value of any type is a ValueError naming the field
             tol = _real_above(tol, "tol", 0.0, "a finite positive real")
             max_terms = _int_at_least(max_terms, "max_terms", 1)
-            factor = _real(factor, "safety_factor")
         except TypeError as exc:
             raise ValueError(str(exc)) from None
-        if factor < 1.0:
-            raise ValueError(f"safety_factor must be >= 1, got {factor!r}")
-        return super().__new__(cls, tol, max_terms, factor)
+        return super().__new__(cls, tol, max_terms)
 
 
 class DecrementState(NamedTuple):
@@ -204,6 +193,12 @@ def _real_above(value, name: str, low: float, what: str) -> float:
 
 _DEFAULT_CONFIG = EvalConfig()
 
+# The tail past term n is estimated as _TAIL_FACTOR * term_n.  The true tail
+# over term_n is 2 * (u - log1p(u)) / u**2 at u = u_n: below 1 for x > 1, at
+# most 1.545 once u_n >= -1/2, so 2 covers it.  A seeding step that leaves
+# u_n < -1/2 bounds no tail, and there the estimate is inf.
+_TAIL_FACTOR = 2.0
+
 
 def decrement_step(u: float) -> float:
     """Advance one square root: send x**w - 1 to x**(w/2) - 1.
@@ -217,12 +212,13 @@ def decrement_step(u: float) -> float:
     return u / (math.sqrt(1.0 + u) + 1.0)
 
 
-def _walk(x: float, n: int, tol: float, safety: float, us: "list | None" = None) -> tuple:
-    """One pass over terms 1..n at x (not checked): (k, j, u_j, S_k, safety * term_k).
+def _walk(x: float, n: int, tol: float = -1.0, us: "list | None" = None) -> tuple:
+    """One pass over terms 1..n at x (not checked): (k, j, u_j, S_k, 2 * term_k).
 
-    The pass stops at the first k with tail safety * term_k <= tol (never if
-    tol < 0) or at n; j = min(k, m), m the cutoff.  The tail is inf while a
-    seeding step leaves u_k < -1/2, where safety * term_k bounds no tail.
+    The pass stops at the first k with tail 2 * term_k <= tol or at n;
+    j = min(k, m), m the cutoff.  The tail is inf while a seeding step leaves
+    u_k < -1/2.  With tol < 0 the sum may end once terms past the cutoff stop
+    moving it, leaving k and the tail stale; :func:`partial_sum` reads neither.
     Given a list ``us``, the pass is the chain alone: it appends u_0..u_j,
     forms no term or sum and returns (j, j, u_j, 0.0, inf), j = min(n, m).
     """
@@ -233,14 +229,14 @@ def _walk(x: float, n: int, tol: float, safety: float, us: "list | None" = None)
         us.append(u)
     s = 0.0
     tail = math.inf
-    factor = safety
+    factor = _TAIL_FACTOR
     p = 0.5  # 2**(k-1) by doubling: u * u * p is the double ldexp(u * u, k - 1)
     k = 0
     for k in range(1, n + 1):
         if r < 0.5:
             r = sqrt(r)
             u = r - 1.0
-            factor = safety if u >= -0.5 else math.inf
+            factor = _TAIL_FACTOR if u >= -0.5 else math.inf
         else:
             d = sqrt(1.0 + u) + 1.0
             if d == 2.0:
@@ -266,12 +262,9 @@ def _walk(x: float, n: int, tol: float, safety: float, us: "list | None" = None)
     for k in range(j + 1, n + 1):
         t = ldexp(u2, 2 * j - k - 1)
         if tol < 0.0 and s + t == s:
-            # Smaller terms cannot move s either (rounding is monotone).
-            k = n
-            tail = safety * ldexp(u2, 2 * j - n - 1)
-            break
+            break  # smaller terms cannot move s either (rounding is monotone)
         s += t
-        tail = safety * t
+        tail = _TAIL_FACTOR * t
         if tail <= tol:
             break
     return k, j, u, s, tail
@@ -287,20 +280,21 @@ def iterate_decrements(x: "float | PositiveInput", n: int) -> list[DecrementStat
     xv = _positive_value(x)
     n = _int_at_least(n, "n", 0)
     us = []
-    _, m, u, _, _ = _walk(xv, n, -1.0, 1.0, us)
+    _, m, u, _, _ = _walk(xv, n, us=us)
     us += [math.ldexp(u, m - k) for k in range(m + 1, n + 1)]
     return [DecrementState(k, u) for k, u in enumerate(us)]
 
 
 def term(k: int, u_k: float) -> float:
-    """Series term 2**(k-1) * u_k**2, scaled exactly via ldexp; ValueError past the float range."""
+    """Series term 2**(k-1) * u_k**2, correctly rounded where normal (term(1100, 1e-170) is 6.79e-10); ValueError past the float range."""
     k = _int_at_least(k, "k", 1)
     u_k = _real_above(u_k, "u_k", -1.0, "a finite real > -1")
-    try:
-        t = math.ldexp(u_k * u_k, k - 1)
-    except OverflowError:  # a finite u_k**2 scaled past the float range
-        t = math.inf
-    if t == math.inf:  # or u_k**2 is inf already, which ldexp passes through
+    try:  # scaled by 2**((k-1)//2) before it is squared, so the square underflows only where the term does
+        v = math.ldexp(u_k, (k - 1) // 2)
+    except OverflowError:
+        v = math.inf
+    t = v * (v + v if k % 2 == 0 else v)  # an odd k - 1 puts its factor 2 in before the one rounding
+    if t == math.inf:
         raise ValueError(f"term({k}, {u_k!r}) is beyond the float range")
     return t
 
@@ -312,20 +306,20 @@ def partial_sum(x: "float | PositiveInput", n: int) -> float:
     convention.
     """
     xv = _positive_value(x)
-    _, j, u, s, _ = _walk(xv, _int_at_least(n, "n", 0), -1.0, 1.0)
+    _, j, u, s, _ = _walk(xv, _int_at_least(n, "n", 0))
     return s if math.isfinite(s) else _closed_sum(xv, math.ldexp(u, j))
 
 
 def difference_quotient(x: "float | PositiveInput", n: int) -> float:
     """D_n = 2**n * u_n, the difference-quotient approximation to log(x)."""
-    _, j, u, _, _ = _walk(_positive_value(x), _int_at_least(n, "n", 0), -1.0, 1.0, [])
+    _, j, u, _, _ = _walk(_positive_value(x), _int_at_least(n, "n", 0), us=[])
     return math.ldexp(u, j)  # past m, u_n = ldexp(u_m, m - n) and so D_n = D_m
 
 
 def eval_log(x: "float | PositiveInput", config: "EvalConfig | None" = None) -> LogApproxResult:
     """Approximate log(x) adaptively.
 
-    Accumulates terms until safety_factor * term_n <= tol or max_terms is
+    Accumulates terms until the tail estimate 2 * term_n <= tol or max_terms is
     reached; the returned log_value is the difference quotient D_n at the
     stopping index, not x - 1 - S_n, so it never subtracts two close
     numbers.  A result with ``converged`` false (tolerance not reached
@@ -337,7 +331,7 @@ def eval_log(x: "float | PositiveInput", config: "EvalConfig | None" = None) -> 
         config = _DEFAULT_CONFIG
     elif not isinstance(config, EvalConfig):
         raise TypeError(f"config must be an EvalConfig or None, got {type(config).__name__}")
-    n, j, u, s, tail = _walk(xv, config.max_terms, config.tol, config.safety_factor)
+    n, j, u, s, tail = _walk(xv, config.max_terms, config.tol)
     log_value = math.ldexp(u, j)
     if not math.isfinite(s):
         s = _closed_sum(xv, log_value)
@@ -354,7 +348,7 @@ def tail_ratio(x: "float | PositiveInput", k: int) -> float:
     k = _int_at_least(k, "k", 1)
     if xv == 1.0:
         raise ValueError("tail_ratio is undefined at x = 1 (all terms are zero)")
-    _, j, u, _, _ = _walk(xv, k, -1.0, 1.0, [])
+    _, j, u, _, _ = _walk(xv, k, us=[])
     # Past m, 2**(2k-1) * u_k**2 = 2**(2m-1) * u_m**2.  u_j**2 is normal or inf, so the scaling is exact or inf.
     ratio = u * u * 2.0 ** (2 * j - 1)
     if ratio == math.inf:
@@ -372,7 +366,7 @@ def trace(x: "float | PositiveInput", n: int) -> list[TraceRow]:
     n = _int_at_least(n, "n", 0)
     ldexp = math.ldexp
     us = []
-    _, m, _, _, _ = _walk(xv, n, -1.0, 1.0, us)
+    _, m, _, _, _ = _walk(xv, n, us=us)
     rows = [TraceRow(0, us[0], 0.0, 0.0, us[0])]
     s = 0.0
     for k in range(1, n + 1):

@@ -283,12 +283,14 @@ def test_bench_single_point_csv():
 
 
 def test_bench_grid_spans_endpoints():
-    proc = run_cli("bench", "--grid", "1e-2:1e2:5", "--format", "csv")
-    assert proc.returncode == 0
-    rows = [line.split(",") for line in _stdout_text(proc).splitlines() if line.startswith("point")]
-    assert len(rows) == 5
-    assert float(rows[0][1]) == 1e-2
-    assert float(rows[-1][1]) == 1e2
+    # 1e200 / 1e-200 is beyond the float range; the points between are not.
+    for lo, hi, count in ((1e-2, 1e2, 5), (1e-200, 1e200, 3)):
+        proc = run_cli("bench", "--grid", f"{lo!r}:{hi!r}:{count}", "--format", "csv")
+        assert proc.returncode == 0, proc.stderr
+        xs = [float(line.split(",")[1]) for line in _stdout_text(proc).splitlines() if line.startswith("point")]
+        assert len(xs) == count
+        assert xs[0] == lo and xs[-1] == hi
+        assert all(a < b for a, b in zip(xs, xs[1:]))
 
 
 def test_bench_deterministic_apart_from_timing():

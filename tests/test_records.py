@@ -35,9 +35,9 @@ RECORDS = [
     (PositiveInput, ("x",), (4.0,), "PositiveInput(x=4.0)"),
     (
         EvalConfig,
-        ("tol", "max_terms", "safety_factor"),
-        (1e-10, 40, 3.0),
-        "EvalConfig(tol=1e-10, max_terms=40, safety_factor=3.0)",
+        ("tol", "max_terms"),
+        (1e-10, 40),
+        "EvalConfig(tol=1e-10, max_terms=40)",
     ),
     (QuadratureConfig, ("panels",), (64,), "QuadratureConfig(panels=64)"),
     (
@@ -79,7 +79,7 @@ def test_record_is_immutable(record, names, values, text):
 
 
 def test_config_defaults_print_as_before():
-    assert repr(EvalConfig()) == "EvalConfig(tol=1e-14, max_terms=96, safety_factor=2.0)"
+    assert repr(EvalConfig()) == "EvalConfig(tol=1e-14, max_terms=96)"
     assert repr(QuadratureConfig()) == "QuadratureConfig(panels=1024)"
 
 
@@ -113,7 +113,6 @@ REAL_ARGUMENTS = [
     ("concavity_check.lam", lambda v: concavity_check(1.0, 4.0, v), 0.5, None),
     ("amgm_check.values", lambda v: amgm_check([v, 8.0]), 2.0, None),
     ("EvalConfig.tol", lambda v: EvalConfig(tol=v), 0.5, "tol"),
-    ("EvalConfig.safety_factor", lambda v: EvalConfig(safety_factor=v), 3.0, "safety_factor"),
 ]
 INTEGER_ARGUMENTS = [
     ("iterate_decrements.n", lambda v: iterate_decrements(2.0, v), 3, None),
@@ -165,9 +164,9 @@ def test_every_integer_argument_follows_the_number_rule(name, call, plain, field
 
 
 def test_config_fields_are_stored_as_float_and_int():
-    assert EvalConfig(1, 5, 3) == EvalConfig(1.0, 5, 3.0)
-    assert type(EvalConfig(1, 5, 3).safety_factor) is float
-    assert repr(EvalConfig(1, 5, 3)) == "EvalConfig(tol=1.0, max_terms=5, safety_factor=3.0)"
+    assert EvalConfig(1, 5) == EvalConfig(1.0, 5)
+    assert type(EvalConfig(1, 5).tol) is float
+    assert repr(EvalConfig(1, 5)) == "EvalConfig(tol=1.0, max_terms=5)"
     assert type(EvalConfig(max_terms=np.int64(5)).max_terms) is int
     assert type(EvalConfig(tol=np.float32(0.5)).tol) is float
     assert type(QuadratureConfig(np.int64(64)).panels) is int
@@ -181,10 +180,10 @@ CONFIG_ARGUMENTS = [
 NOT_CONFIGS = [
     5,
     64,
-    (1e-14, 96, 2.0),
+    (1e-14, 96),
     SimpleNamespace(panels=3),
     SimpleNamespace(panels=100000),
-    SimpleNamespace(tol=-1.0, max_terms=5, safety_factor=2.0),
+    SimpleNamespace(tol=-1.0, max_terms=5),
 ]
 
 
