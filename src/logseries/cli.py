@@ -79,20 +79,18 @@ def _parse_grid(text: str) -> list[float]:
     except ValueError:
         raise ValueError(f"--grid must look like lo:hi:count with numeric fields, got {text!r}") from None
     for bound in (lo, hi):
-        if not bound > 0:
-            raise ValueError(f"--grid bounds must be positive, got {bound!r}")
+        if not 0.0 < bound < math.inf:
+            raise ValueError(f"--grid bounds must be positive and finite, got {bound!r}")
     if count < 1:
         raise ValueError(f"--grid count must be >= 1, got {count}")
     if count == 1:
         return [lo]
-    ratio = hi / lo
-    if 0.0 < ratio < math.inf:
-        points = [lo * ratio ** (i / (count - 1)) for i in range(count)]
-    else:  # hi / lo is beyond the float range, but its logarithm is not
-        a, b = math.log(lo), math.log(hi)
-        points = [math.exp(a + (b - a) * i / (count - 1)) for i in range(count)]
-    points[0], points[-1] = lo, hi  # pin endpoints against rounding drift
-    return points
+    # Spaced in log(x), so hi / lo may lie past the float range.  log rounds by about
+    # |log x| * 2**-53, so on a narrower grid a point may fall past an endpoint: it is clamped.
+    a, b = math.log(lo), math.log(hi)
+    least, most = min(lo, hi), max(lo, hi)
+    inner = (math.exp(a + (b - a) * i / (count - 1)) for i in range(1, count - 1))
+    return [lo, *(min(max(x, least), most) for x in inner), hi]
 
 
 def _cmd_eval(args) -> int:

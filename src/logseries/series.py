@@ -264,7 +264,7 @@ def _walk(x: float, n: int, tol: float = -1.0, us: "list | None" = None) -> tupl
         if tol < 0.0 and s + t == s:
             break  # smaller terms cannot move s either (rounding is monotone)
         s += t
-        tail = _TAIL_FACTOR * t
+        tail = factor * t  # _TAIL_FACTOR: the step that reached the cutoff left u_j >= -1/2
         if tail <= tol:
             break
     return k, j, u, s, tail

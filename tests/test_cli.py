@@ -283,8 +283,8 @@ def test_bench_single_point_csv():
 
 
 def test_bench_grid_spans_endpoints():
-    # 1e200 / 1e-200 is beyond the float range; the points between are not.
-    for lo, hi, count in ((1e-2, 1e2, 5), (1e-200, 1e200, 3)):
+    # hi / lo is beyond the float range in the last two grids; the points between are not.
+    for lo, hi, count in ((1e-2, 1e2, 5), (1e-200, 1e200, 3), (1e-300, 1.7976931348623157e308, 3)):
         proc = run_cli("bench", "--grid", f"{lo!r}:{hi!r}:{count}", "--format", "csv")
         assert proc.returncode == 0, proc.stderr
         xs = [float(line.split(",")[1]) for line in _stdout_text(proc).splitlines() if line.startswith("point")]
@@ -306,6 +306,9 @@ def test_bench_deterministic_apart_from_timing():
 def test_bench_grid_errors_exit_one():
     for grid in ("1:2", "0:1:3", "1:2:0", "a:b:3", "1:2:2.5"):
         assert run_cli("bench", "--grid", grid).returncode == 1
+    proc = run_cli("bench", "--grid", "1:inf:3")
+    assert proc.returncode == 1
+    assert b"--grid bounds must be positive and finite, got inf" in proc.stderr
 
 
 def test_bench_nonconvergence_exits_two():
