@@ -283,14 +283,21 @@ def test_bench_single_point_csv():
 
 
 def test_bench_grid_spans_endpoints():
-    # hi / lo is beyond the float range in the last two grids; the points between are not.
-    for lo, hi, count in ((1e-2, 1e2, 5), (1e-200, 1e200, 3), (1e-300, 1.7976931348623157e308, 3)):
+    def points(lo, hi, count):
         proc = run_cli("bench", "--grid", f"{lo!r}:{hi!r}:{count}", "--format", "csv")
         assert proc.returncode == 0, proc.stderr
         xs = [float(line.split(",")[1]) for line in _stdout_text(proc).splitlines() if line.startswith("point")]
         assert len(xs) == count
         assert xs[0] == lo and xs[-1] == hi
+        return xs
+
+    # hi / lo is beyond the float range in the last two grids; the points between are not.
+    for lo, hi, count in ((1e-2, 1e2, 5), (1e-200, 1e200, 3), (1e-300, 1.7976931348623157e308, 3)):
+        xs = points(lo, hi, count)
         assert all(a < b for a, b in zip(xs, xs[1:]))
+    # Narrower than the rounding of log(x): points may repeat but stay in order between the bounds.
+    xs = points(1e300, 1.0000000000001e300, 5)
+    assert xs == sorted(xs)
 
 
 def test_bench_deterministic_apart_from_timing():
