@@ -1,13 +1,15 @@
 """Command-line front end: eval, trace, check, bench.
 
-Exit codes: 0 success, 1 usage or domain error, 2 numeric failure
-(non-convergence or a violated check).  Delimited output is plain CSV
-with 17-significant-digit floats so values round-trip exactly; comment
-lines start with '#' and appear only before the header row.
+Exit codes: 0 success, 1 usage or domain error (or a reader that closed
+the output pipe early), 2 numeric failure (non-convergence or a violated
+check).  Delimited output is plain CSV with 17-significant-digit floats so
+values round-trip exactly; comment lines start with '#' and appear only
+before the header row.
 """
 
 import argparse
 import math
+import os
 import sys
 import time
 
@@ -329,4 +331,12 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main())
+    try:
+        status = main()
+        sys.stdout.flush()  # so a reader that went away shows here, not at exit
+    except BrokenPipeError:
+        # The reader closed the pipe (``logseries ... | head``).  Point stdout at
+        # devnull so the flush at exit cannot raise again, and exit 1.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = EXIT_USAGE
+    raise SystemExit(status)

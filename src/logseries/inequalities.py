@@ -1,7 +1,11 @@
-"""Classical logarithm inequalities, verified through the series evaluator.
+"""Classical logarithm inequalities, verified through the decrement chain.
 
-Because every series term is a square, the evaluator makes these facts
-checkable with tiny, explainable slack rather than by trusting libm:
+Each log(x) here is the chain u_k = x**(2**-k) - 1 with its tail closed,
+log(x) = 2**n * log1p(u_n) at the first |u_n| <= 2**-10 (``series._log``),
+not the summed series of :func:`~logseries.series.eval_log`.  It is
+accurate relative to log(x), also next to 1, where the summed series is
+accurate only in absolute terms.  That makes these facts checkable with
+tiny, explainable slack rather than by trusting libm:
 
 * tangent line at 1:   log(x) <= x - 1, equality only at x = 1;
 * tangent line at a:   log(x) <= log(a) + (x - a)/a;
@@ -19,7 +23,7 @@ import random
 import sys
 from typing import Callable, NamedTuple, Sequence
 
-from .series import PositiveInput, _int_at_least, _positive_value, _real, eval_log
+from .series import PositiveInput, _int_at_least, _log, _positive_value, _real
 
 __all__ = [
     "AmgmReport",
@@ -79,19 +83,19 @@ class SweepReport(NamedTuple):
 def tangent_line_gap(x: "float | PositiveInput") -> float:
     """x - 1 - log(x), nonnegative with equality only at x = 1.
 
-    Up to rounding this is the residual series itself, so positivity is
-    structural; the returned gap uses the explicit subtraction to keep
-    the check's arithmetic independent of the residual accumulator.
+    This is the residual series in closed form.  Near 1, x - 1 and log(x)
+    agree to within a factor 2, so the subtraction is exact and the gap's
+    error is that of log(x): a few ulps of |x - 1|.
     """
     xv = _positive_value(x)
-    return xv - 1.0 - eval_log(xv).log_value
+    return xv - 1.0 - _log(xv)
 
 
 def tangent_at(a: "float | PositiveInput", x: "float | PositiveInput") -> float:
     """Margin log(a) + (x - a)/a - log(x), nonnegative for all a, x > 0."""
     av = _positive_value(a)
     xv = _positive_value(x)
-    return eval_log(av).log_value + (xv - av) / av - eval_log(xv).log_value
+    return _log(av) + (xv - av) / av - _log(xv)
 
 
 def concavity_check(x: "float | PositiveInput", y: "float | PositiveInput", lam: float) -> float:
@@ -110,7 +114,7 @@ def concavity_check(x: "float | PositiveInput", y: "float | PositiveInput", lam:
         # margin is unchanged by scaling x and y (both < 2**52 here) by 2**64.
         xv, yv = xv * 2.0**64, yv * 2.0**64
         mix = lam * xv + (1.0 - lam) * yv
-    return eval_log(mix).log_value - (lam * eval_log(xv).log_value + (1.0 - lam) * eval_log(yv).log_value)
+    return _log(mix) - (lam * _log(xv) + (1.0 - lam) * _log(yv))
 
 
 def amgm_check(values: Sequence[float]) -> AmgmReport:
@@ -121,7 +125,7 @@ def amgm_check(values: Sequence[float]) -> AmgmReport:
     if not vs:
         raise ValueError("values must be nonempty")
     n = len(vs)
-    mean_log = math.fsum(eval_log(v).log_value for v in vs) / n
+    mean_log = math.fsum(_log(v) for v in vs) / n
     try:
         am = math.fsum(vs) / n
         gm = math.exp(mean_log)

@@ -45,6 +45,17 @@ underflow (it gives D_1100 = 0 at x = 2).  D_k is constant past m
 because the true D_k = log(x) * (1 + u_k/2 + ...) moves by a relative
 u_k/2 or less, which past |u_m| < 2**-52 is below half an ulp.  The chain
 takes at most about 70 steps for any x and n.
+
+The inequality checks need log(x) alone, and :func:`_log` gives it by
+closing the chain's tail instead of summing it (Briggs' repeated-root
+method): log(x) = 2**n * log1p(u_n) holds exactly for every n.  It seeds
+as the pass does, stops at the first |u_n| <= 2**-10, and takes log1p(u_n)
+from its degree-6 Taylor polynomial, with no libm log.  That is at most 20
+steps for any x, and the result is accurate relative to log(x) (within
+2e-15 against mpmath), also next to 1.  The public functions stay the
+paper's series: :func:`eval_log` stops on the absolute test
+2 * term_n <= tol, so near 1 its log_value is accurate only in absolute
+terms.
 """
 
 import math
@@ -268,6 +279,22 @@ def _walk(x: float, n: int, tol: float = -1.0, us: "list | None" = None) -> tupl
         if tail <= tol:
             break
     return k, j, u, s, tail
+
+
+def _log(x: float) -> float:
+    """log(x) for a checked x: the chain to |u_n| <= 2**-10, then its tail 2**n * log1p(u_n) in closed form."""
+    sqrt = math.sqrt
+    r = x
+    n = 0
+    while r < 0.5:  # the seeding of _walk: below 1/2, r - 1 would lose the low bits of r
+        r = sqrt(r)
+        n += 1
+    u = r - 1.0
+    while abs(u) > 0.0009765625:  # 2**-10
+        u /= sqrt(1.0 + u) + 1.0
+        n += 1
+    # log1p(u) to degree 6; the first term left out, u**7 / 7, is below 2**-60 * |u|.
+    return math.ldexp(u - u * u * (0.5 - u * (1.0 / 3.0 - u * (0.25 - u * (0.2 - u / 6.0)))), n)
 
 
 def _closed_sum(x: float, d: float) -> float:

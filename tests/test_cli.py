@@ -350,3 +350,18 @@ def test_help_exits_zero():
     assert run_cli("--help").returncode == 0
     assert run_cli("eval", "--help").returncode == 0
     assert run_cli("check", "tangent", "--help").returncode == 0
+
+
+def test_closed_pipe_exits_one_without_a_traceback():
+    # More rows than a pipe holds, so the child is still writing when the reader goes away.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "logseries", "trace", "--x", "2", "--n", "5000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().split()[0] == b"k"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert b"Traceback" not in stderr, stderr.decode()

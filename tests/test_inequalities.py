@@ -4,6 +4,7 @@ import math
 import random
 import sys
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -42,6 +43,14 @@ def test_tangent_line_gap_nonnegative_on_grid():
         # equality only in a tight window around 1
         if gap <= GAP_TOL:
             assert abs(x - 1.0) <= 1e-6
+
+
+@pytest.mark.parametrize("x", [1.0 + sign * 10.0**-k for k in range(1, 13) for sign in (-1.0, 1.0)])
+def test_tangent_line_gap_relative_near_one(x):
+    # x - 1 is exact here, so the gap's error is the logarithm's: a few ulps of |x - 1|.
+    with mpmath.workprec(200):
+        exact = mpmath.mpf(x) - 1 - mpmath.log(mpmath.mpf(x))
+        assert abs(mpmath.mpf(tangent_line_gap(x)) - exact) <= 4 * 2.0**-52 * abs(x - 1.0)
 
 
 def test_tangent_at_equality_on_diagonal():
@@ -104,7 +113,7 @@ def test_concavity_lambda_validation():
 def test_amgm_two_eight():
     report = amgm_check([2.0, 8.0])
     assert report.arithmetic_mean == 5.0
-    assert report.geometric_mean == pytest.approx(4.0, rel=1e-12)
+    assert report.geometric_mean == 4.0
     assert report.holds is True
     assert report.equality is False
 

@@ -7,7 +7,7 @@ import sys
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from logseries.series import (
     EvalConfig,
@@ -22,7 +22,7 @@ from logseries.series import (
     term,
     trace,
 )
-from logseries.series import _walk
+from logseries.series import _log, _walk
 
 DBL_MAX = sys.float_info.max
 
@@ -573,6 +573,28 @@ def test_property_tail_estimate_bounds_the_exact_tail(x, tol, max_terms):
     with mpmath.workprec(300 + max(0, -mpmath.mag(u)) if u else 300):
         exact_tail = mpmath.ldexp(u - mpmath.log1p(u), n)
     assert mpmath.mpf(result.tail_estimate) >= exact_tail
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.floats(min_value=0.0, max_value=DBL_MAX, exclude_min=True),
+        st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(min_value=1.0, max_value=15.0)).map(
+            lambda se: 1.0 + se[0] * 10.0**-se[1]
+        ),
+    )
+)
+@example(5e-324)
+@example(DBL_MAX)
+@example(1.0)
+def test_property_closed_log_relative_accuracy(x):
+    # The kernel of the inequality checks is accurate relative to log(x), also next to 1.
+    if x == 1.0:
+        assert repr(_log(x)) == "0.0"
+        return
+    with mpmath.workprec(200):
+        ref = mpmath.log(mpmath.mpf(x))
+        assert abs((mpmath.mpf(_log(x)) - ref) / ref) <= 2e-15, x
 
 
 def test_log_approx_result_is_an_immutable_record():
