@@ -361,7 +361,7 @@ def test_closed_pipe_exits_one_without_a_traceback():
     )
     assert proc.stdout.readline().split()[0] == b"k"
     proc.stdout.close()
-    stderr = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait() == 1
+    assert proc.wait(timeout=60) == 1  # stderr is far below a pipe's capacity, so it cannot block the child
+    with proc.stderr:
+        stderr = proc.stderr.read()
     assert b"Traceback" not in stderr, stderr.decode()
