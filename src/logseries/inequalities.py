@@ -23,7 +23,7 @@ import random
 import sys
 from typing import Callable, NamedTuple, Sequence
 
-from .series import PositiveInput, _int_at_least, _log, _positive_value, _real
+from .series import _int_at_least, _log, _positive_value, _real
 
 __all__ = [
     "AmgmReport",
@@ -80,7 +80,7 @@ class SweepReport(NamedTuple):
     first_violation: "tuple | None"
 
 
-def tangent_line_gap(x: "float | PositiveInput") -> float:
+def tangent_line_gap(x: float) -> float:
     """x - 1 - log(x), nonnegative with equality only at x = 1.
 
     This is the residual series in closed form.  Near 1, x - 1 and log(x)
@@ -91,14 +91,21 @@ def tangent_line_gap(x: "float | PositiveInput") -> float:
     return xv - 1.0 - _log(xv)
 
 
-def tangent_at(a: "float | PositiveInput", x: "float | PositiveInput") -> float:
-    """Margin log(a) + (x - a)/a - log(x), nonnegative for all a, x > 0."""
+def tangent_at(a: float, x: float) -> float:
+    """Margin log(a) + (x - a)/a - log(x), nonnegative for all a, x > 0.
+
+    ValueError where (x - a)/a is beyond the float range (tiny a, large x);
+    it is above -1, so it can overflow only upward.
+    """
     av = _positive_value(a)
     xv = _positive_value(x)
-    return _log(av) + (xv - av) / av - _log(xv)
+    slope = (xv - av) / av
+    if slope == math.inf:
+        raise ValueError(f"tangent_at({av!r}, {xv!r}) is beyond the float range")
+    return _log(av) + slope - _log(xv)
 
 
-def concavity_check(x: "float | PositiveInput", y: "float | PositiveInput", lam: float) -> float:
+def concavity_check(x: float, y: float, lam: float) -> float:
     """Margin log(lam*x + (1-lam)*y) - lam*log(x) - (1-lam)*log(y).
 
     Nonnegative for lam in [0, 1]; zero when x = y or lam is 0 or 1.

@@ -23,7 +23,7 @@ x = DBL_MAX the sum rounds past it.
 import math
 from typing import NamedTuple
 
-from .series import PositiveInput, _int_at_least, _positive_value
+from .series import _int_at_least, _positive_value
 
 __all__ = ["QuadratureConfig", "double_integral_residual", "reference_log"]
 
@@ -78,7 +78,7 @@ def _piece(a: float, b: float, d: float, n: int) -> float:
     return acc
 
 
-def double_integral_residual(x: "float | PositiveInput", config: "QuadratureConfig | None" = None) -> float:
+def double_integral_residual(x: float, config: "QuadratureConfig | None" = None) -> float:
     """Approximate x - 1 - log(x) by composite Simpson quadrature of (x - s)/s**2 on a graded mesh.
 
     The result is nonnegative, with a relative error below 1e-12 at 1024 panels for x from
@@ -102,6 +102,6 @@ def double_integral_residual(x: "float | PositiveInput", config: "QuadratureConf
     return result
 
 
-def reference_log(x: "float | PositiveInput") -> float:
+def reference_log(x: float) -> float:
     """The platform libm natural logarithm, as an accuracy yardstick."""
     return math.log(_positive_value(x))

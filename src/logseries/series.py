@@ -29,9 +29,10 @@ Every public function here validates x once and is then a view over one
 pass of :func:`_walk`, which carries u_k, the term 2**(k-1) * u_k**2 (the
 power of two kept by doubling, so scaling by it is exact), the running sum
 S_k and the stopping test together.  The views that read only u (the
-quotient, the tail ratio, the chain, and :func:`trace`, which sums its
-rows itself) run the pass in its chain-only mode, which forms no term or
-sum.  The chain ends at the first step m whose denominator
+quotient, the tail ratio and :func:`trace`, which sums its rows itself)
+run the pass in its chain-only mode, which forms no term or sum.  The
+chain itself is read from trace rows: ``[(r.k, r.u) for r in trace(x, n)]``
+gives u_0..u_n.  The chain ends at the first step m whose denominator
 sqrt(1 + u_m) + 1 rounds to exactly 2, once |u_m| is below about 2**-52.
 u only shrinks toward 0 from there, and rounding is monotone, so every later
 denominator is 2 as well and every later step is an exact halving.  The
@@ -65,11 +66,9 @@ from typing import NamedTuple
 __all__ = [
     "PositiveInput",
     "EvalConfig",
-    "DecrementState",
     "LogApproxResult",
     "TraceRow",
     "decrement_step",
-    "iterate_decrements",
     "term",
     "partial_sum",
     "difference_quotient",
@@ -90,7 +89,7 @@ class PositiveInput(_PositiveInputFields):
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace builds through _make: validate there too
 
     def __new__(cls, x):
-        return super().__new__(cls, _real_above(x, "x", 0.0, "a finite positive real"))
+        return super().__new__(cls, _positive_value(x))
 
     def __float__(self) -> float:
         return self.x
@@ -115,13 +114,6 @@ class EvalConfig(_EvalConfigFields):
         except TypeError as exc:
             raise ValueError(str(exc)) from None
         return super().__new__(cls, tol, max_terms)
-
-
-class DecrementState(NamedTuple):
-    """One link of the decrement chain: u = x**(2**-k) - 1."""
-
-    k: int
-    u: float
 
 
 class TraceRow(NamedTuple):
@@ -188,10 +180,10 @@ def _int_at_least(value, name: str, low: int) -> int:
     return value
 
 
-def _positive_value(x: "float | PositiveInput") -> float:
+def _positive_value(x: float) -> float:
     if type(x) is float and 0.0 < x < math.inf:
         return x
-    return PositiveInput(x).x
+    return _real_above(x, "x", 0.0, "a finite positive real")
 
 
 def _real_above(value, name: str, low: float, what: str) -> float:
@@ -218,6 +210,10 @@ def decrement_step(u: float) -> float:
     so no digits cancel.  Preserves sign, and |result| <= |u| / 2 for
     u >= 0 (for -1 < u < 0 the magnitude still shrinks, the factor
     tending to 1/2 as u -> 0).
+
+    No code path of the package calls it; the pass inlines the step.  It
+    is the paper's map, kept public as the stepwise reference that the
+    tests check the chain of :func:`trace` against.
     """
     u = _real_above(u, "u", -1.0, "a finite real > -1")
     return u / (math.sqrt(1.0 + u) + 1.0)
@@ -282,7 +278,12 @@ def _walk(x: float, n: int, tol: float = -1.0, us: "list | None" = None) -> tupl
 
 
 def _log(x: float) -> float:
-    """log(x) for a checked x: the chain to |u_n| <= 2**-10, then its tail 2**n * log1p(u_n) in closed form."""
+    """log(x) for a checked x: the chain to |u_n| <= 2**-10, then its tail 2**n * log1p(u_n) in closed form.
+
+    It seeds and steps as :func:`_walk` does, in loops of its own: a helper
+    shared with the pass gave the same doubles and made ``_log`` 4-7% slower,
+    a cost every inequality check would pay.
+    """
     sqrt = math.sqrt
     r = x
     n = 0
@@ -302,16 +303,6 @@ def _closed_sum(x: float, d: float) -> float:
     return (x - 1.0) - d
 
 
-def iterate_decrements(x: "float | PositiveInput", n: int) -> list[DecrementState]:
-    """Return [(0, u_0), (1, u_1), ..., (n, u_n)] for u_k = x**(2**-k) - 1."""
-    xv = _positive_value(x)
-    n = _int_at_least(n, "n", 0)
-    us = []
-    _, m, u, _, _ = _walk(xv, n, us=us)
-    us += [math.ldexp(u, m - k) for k in range(m + 1, n + 1)]
-    return [DecrementState(k, u) for k, u in enumerate(us)]
-
-
 def term(k: int, u_k: float) -> float:
     """Series term 2**(k-1) * u_k**2, correctly rounded where normal (term(1100, 1e-170) is 6.79e-10); ValueError past the float range."""
     k = _int_at_least(k, "k", 1)
@@ -326,7 +317,7 @@ def term(k: int, u_k: float) -> float:
     return t
 
 
-def partial_sum(x: "float | PositiveInput", n: int) -> float:
+def partial_sum(x: float, n: int) -> float:
     """S_n = sum of the first n terms; approximates x - 1 - log(x).
 
     Nonnegative and nondecreasing in n.  S_0 = 0 by the empty-sum
@@ -337,13 +328,13 @@ def partial_sum(x: "float | PositiveInput", n: int) -> float:
     return s if math.isfinite(s) else _closed_sum(xv, math.ldexp(u, j))
 
 
-def difference_quotient(x: "float | PositiveInput", n: int) -> float:
+def difference_quotient(x: float, n: int) -> float:
     """D_n = 2**n * u_n, the difference-quotient approximation to log(x)."""
     _, j, u, _, _ = _walk(_positive_value(x), _int_at_least(n, "n", 0), us=[])
     return math.ldexp(u, j)  # past m, u_n = ldexp(u_m, m - n) and so D_n = D_m
 
 
-def eval_log(x: "float | PositiveInput", config: "EvalConfig | None" = None) -> LogApproxResult:
+def eval_log(x: float, config: "EvalConfig | None" = None) -> LogApproxResult:
     """Approximate log(x) adaptively.
 
     Accumulates terms until the tail estimate 2 * term_n <= tol or max_terms is
@@ -365,7 +356,7 @@ def eval_log(x: "float | PositiveInput", config: "EvalConfig | None" = None) -> 
     return LogApproxResult(log_value, s, n, tail, tail <= config.tol)
 
 
-def tail_ratio(x: "float | PositiveInput", k: int) -> float:
+def tail_ratio(x: float, k: int) -> float:
     """term_k * 2**k, which converges to log(x)**2 / 2 as k grows.
 
     Undefined at x = 1, where every term vanishes; ValueError past the
@@ -383,7 +374,7 @@ def tail_ratio(x: "float | PositiveInput", k: int) -> float:
     return ratio
 
 
-def trace(x: "float | PositiveInput", n: int) -> list[TraceRow]:
+def trace(x: float, n: int) -> list[TraceRow]:
     """Rows (k, u_k, term_k, S_k, D_k) for k = 0..n.
 
     Row 0 carries term 0 and S_0 = 0; D_0 = u_0.  Within each row

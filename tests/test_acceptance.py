@@ -34,7 +34,7 @@ from logseries.inequalities import (
     tangent_line_gap,
 )
 from logseries.oracles import QuadratureConfig, double_integral_residual, reference_log
-from logseries.series import EvalConfig, eval_log, iterate_decrements, term, trace
+from logseries.series import EvalConfig, eval_log, term, trace
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -86,7 +86,7 @@ def test_criterion_3_tail_constant():
     worst = 0.0
     for x in (0.5, 2.0, math.exp(2.0), 100.0):
         limit = 0.5 * math.log(x) ** 2
-        ratio40 = term(40, iterate_decrements(x, 40)[40].u) * 2.0 ** 40
+        ratio40 = term(40, trace(x, 40)[40].u) * 2.0 ** 40
         worst = max(worst, abs(ratio40 - limit) / limit)
     ok = worst <= 1e-6
     detail = _verdict(3, "tail constant (log x)^2/2", ok, f"max relative deviation {worst:.3e}, bound 1e-6")
@@ -102,11 +102,11 @@ def test_criterion_4_geometric_decay():
     strict_through = {}
     onsets = {}
     for x in (2.0, 10.0, 100.0):
-        states = iterate_decrements(x, 61)
+        rows = trace(x, 61)
         for k in range(1, 61):
-            u = states[k].u
+            u = rows[k].u
             current = term(k, u)
-            ratio = term(k + 1, states[k + 1].u) / current if current else math.nan
+            ratio = term(k + 1, rows[k + 1].u) / current if current else math.nan
             checks = [("<= 1/2", ratio <= 0.5)]
             if u >= STRICT_DECAY_FLOOR:
                 strict_through[x] = k

@@ -13,7 +13,7 @@ import pytest
 from logseries import cli
 from logseries.inequalities import DEFAULT_SEED, AmgmReport, SweepReport
 from logseries.oracles import QuadratureConfig
-from logseries.series import EvalConfig, iterate_decrements
+from logseries.series import EvalConfig, trace
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 PYPROJECT = pathlib.Path(__file__).parent.parent / "pyproject.toml"
@@ -90,11 +90,10 @@ def test_trace_csv_round_trips_to_doubles():
     proc = run_cli("trace", "--x", "0.7", "--n", "30", "--format", "csv")
     rows = list(csv.DictReader(_stdout_text(proc).splitlines()))
     assert len(rows) == 31
-    chain = iterate_decrements(0.7, 30)
-    for row, state in zip(rows, chain):
-        assert int(row["k"]) == state.k
+    for row, expected in zip(rows, trace(0.7, 30)):
+        assert int(row["k"]) == expected.k
         # 17 significant digits must reproduce the exact double
-        assert float(row["u_k"]) == state.u
+        assert float(row["u_k"]) == expected.u
 
 
 def test_trace_csv_defect_column_small():

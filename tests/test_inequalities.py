@@ -63,6 +63,7 @@ def test_tangent_at_values():
     expected = math.log(2.0) + 3.0 - math.log(8.0)
     assert tangent_at(2.0, 8.0) == pytest.approx(expected, abs=1e-11)
     assert tangent_at(1.0, 2.0) == pytest.approx(1.0 - math.log(2.0), abs=1e-11)
+    assert tangent_at(1e-300, 1e8) == pytest.approx(1e308)  # a huge slope that is still finite
 
 
 def test_tangent_at_nonnegative_on_grid():
@@ -70,6 +71,13 @@ def test_tangent_at_nonnegative_on_grid():
     for a in points:
         for x in points:
             assert tangent_at(a, x) >= -PAIR_TOL
+
+
+@pytest.mark.parametrize("a, x", [(1e-300, 1e300), (5e-324, 1.0)])
+def test_tangent_at_beyond_the_float_range_is_a_value_error(a, x):
+    # (x - a)/a overflows to inf here.
+    with pytest.raises(ValueError, match="beyond the float range"):
+        tangent_at(a, x)
 
 
 def test_concavity_degenerate_cases():

@@ -19,7 +19,6 @@ from logseries import (
     difference_quotient,
     double_integral_residual,
     eval_log,
-    iterate_decrements,
     partial_sum,
     sweep_amgm,
     sweep_concavity,
@@ -103,7 +102,6 @@ def test_replace_validates_like_construction():
 # ValueError naming the field.
 REAL_ARGUMENTS = [
     ("eval_log.x", lambda v: eval_log(v), 2.0, None),
-    ("iterate_decrements.x", lambda v: iterate_decrements(v, 3), 2.0, None),
     ("partial_sum.x", lambda v: partial_sum(v, 5), 2.0, None),
     ("difference_quotient.x", lambda v: difference_quotient(v, 5), 2.0, None),
     ("tail_ratio.x", lambda v: tail_ratio(v, 5), 2.0, None),
@@ -115,7 +113,6 @@ REAL_ARGUMENTS = [
     ("EvalConfig.tol", lambda v: EvalConfig(tol=v), 0.5, "tol"),
 ]
 INTEGER_ARGUMENTS = [
-    ("iterate_decrements.n", lambda v: iterate_decrements(2.0, v), 3, None),
     ("partial_sum.n", lambda v: partial_sum(2.0, v), 5, None),
     ("difference_quotient.n", lambda v: difference_quotient(2.0, v), 5, None),
     ("trace.n", lambda v: trace(2.0, v), 3, None),

@@ -16,7 +16,6 @@ from logseries.series import (
     decrement_step,
     difference_quotient,
     eval_log,
-    iterate_decrements,
     partial_sum,
     tail_ratio,
     term,
@@ -84,54 +83,38 @@ def test_decrement_step_domain_errors():
             decrement_step(bad)
 
 
-def test_iterate_decrements_at_one_is_identically_zero():
-    assert iterate_decrements(1.0, 3) == [(0, 0.0), (1, 0.0), (2, 0.0), (3, 0.0)]
+def _chain(x, n):
+    """u_0..u_n as the (k, u) columns of the trace rows."""
+    return [(row.k, row.u) for row in trace(x, n)]
 
 
-def test_iterate_decrements_at_four():
-    states = iterate_decrements(4.0, 2)
-    assert [s.k for s in states] == [0, 1, 2]
-    assert states[0].u == 3.0
-    assert states[1].u == 1.0
-    assert states[2].u == pytest.approx(SQRT_TWO_MINUS_ONE, abs=1e-15)
-
-
-def test_iterate_decrements_below_half_seeds_from_roots():
+def test_trace_chain_below_half_seeds_from_roots():
     # 0.25 -> 0.5 in one square root; both leading subtractions are exact.
-    states = iterate_decrements(0.25, 2)
-    assert states[0].u == -0.75
-    assert states[1].u == -0.5
-    assert states[2].u == pytest.approx(0.25 ** 0.25 - 1.0, abs=1e-15)
+    chain = _chain(0.25, 2)
+    assert chain[0] == (0, -0.75)
+    assert chain[1] == (1, -0.5)
+    assert chain[2][1] == pytest.approx(0.25 ** 0.25 - 1.0, abs=1e-15)
 
 
-def test_iterate_decrements_matches_recurrence_above_half():
+def test_trace_chain_matches_recurrence_above_half():
     for x in (0.5, 0.9, 2.0, 10.0, 1e8):
-        states = iterate_decrements(x, 30)
+        chain = _chain(x, 30)
         u = x - 1.0
-        assert states[0].u == u
-        for state in states[1:]:
+        assert chain[0] == (0, u)
+        for k, chain_u in chain[1:]:
             u = decrement_step(u)
-            assert state.u == u
+            assert chain_u == u, (x, k)
 
 
-def test_iterate_decrements_tracks_true_roots():
+def test_trace_chain_tracks_true_roots():
     # Oracle check against 50-digit arithmetic, including x far below 1/2
     # where the chain is seeded from direct square roots.
     with mpmath.workdps(50):
         for x in (1e-8, 0.3, 0.5, 7.0, 4e5):
-            states = iterate_decrements(x, 50)
+            chain = _chain(x, 50)
             for k in (0, 3, 10, 27, 50):
                 expected = float(mpmath.root(mpmath.mpf(x), 2 ** k) - 1)
-                assert states[k].u == pytest.approx(expected, rel=5e-13, abs=1e-18)
-
-
-def test_iterate_decrements_validation():
-    with pytest.raises(ValueError):
-        iterate_decrements(4.0, -1)
-    with pytest.raises(TypeError):
-        iterate_decrements(4.0, 1.5)
-    with pytest.raises(ValueError):
-        iterate_decrements(0.0, 3)
+                assert chain[k][1] == pytest.approx(expected, rel=5e-13, abs=1e-18)
 
 
 def test_term_examples():
@@ -304,8 +287,8 @@ def test_term_ratio_near_half_at_k50():
     # The computed ratio saturates at exactly 1/2 once 1 + u has no spare
     # bits, so the window must be closed on both sides.
     for x in (0.5, 2.0, 10.0):
-        states = iterate_decrements(x, 51)
-        ratio = term(51, states[51].u) / term(50, states[50].u)
+        rows = trace(x, 51)
+        ratio = term(51, rows[51].u) / term(50, rows[50].u)
         assert 0.5 - 1e-6 <= ratio <= 0.5 + 1e-6
 
 
@@ -316,9 +299,9 @@ def test_term_ratio_strictly_below_half_before_saturation():
     # way (already 1/2 at u ~ 7.8e-16 = 3.5 eps for some x > 1).  k <= 40
     # keeps u_k far above 2**-50 for these x.
     for x in (2.0, 10.0, 100.0):
-        states = iterate_decrements(x, 41)
+        rows = trace(x, 41)
         for k in range(1, 41):
-            ratio = term(k + 1, states[k + 1].u) / term(k, states[k].u)
+            ratio = term(k + 1, rows[k + 1].u) / term(k, rows[k].u)
             assert ratio < 0.5
 
 
@@ -326,12 +309,14 @@ def test_trace_rows_at_four():
     rows = trace(4.0, 2)
     assert rows[0] == (0, 3.0, 0.0, 0.0, 3.0)
     assert rows[1] == (1, 1.0, 1.0, 1.0, 2.0)
-    assert rows[2].k == 2
+    assert [row.k for row in rows] == [0, 1, 2]
+    assert rows[2].u == pytest.approx(SQRT_TWO_MINUS_ONE, abs=1e-15)
     assert rows[2].partial_sum == pytest.approx(S2_AT_FOUR, abs=5e-16)
     assert rows[2].diff_quotient == pytest.approx(D2_AT_FOUR, abs=1e-15)
 
 
 def test_trace_at_one_is_all_zero():
+    assert _chain(1.0, 3) == [(0, 0.0), (1, 0.0), (2, 0.0), (3, 0.0)]
     for row in trace(1.0, 5):
         assert (row.u, row.term, row.partial_sum, row.diff_quotient) == (0.0, 0.0, 0.0, 0.0)
 
@@ -341,6 +326,10 @@ def test_trace_single_row_and_validation():
     assert len(rows) == 1 and rows[0] == (0, 8.0, 0.0, 0.0, 8.0)
     with pytest.raises(ValueError):
         trace(9.0, -1)
+    with pytest.raises(TypeError):
+        trace(4.0, 1.5)
+    with pytest.raises(ValueError):
+        trace(0.0, 3)
 
 
 @settings(max_examples=300, deadline=None)
@@ -517,7 +506,7 @@ def test_property_views_bit_identical_to_stepwise_chain(x, n):
     sums = list(itertools.accumulate(terms, initial=0.0))
     quotients = [math.ldexp(u, k) for k, u in enumerate(us)]
     # repr tells -0.0 from 0.0 and prints every double exactly.
-    assert repr([tuple(s) for s in iterate_decrements(x, n)]) == repr(list(enumerate(us)))
+    assert repr(_chain(x, n)) == repr(list(enumerate(us)))
     if not math.isfinite(sums[n]):
         # Near DBL_MAX term 1 overflows; trace and partial_sum close every
         # S_k by the identity, as _reference_eval_log does for the residual.
