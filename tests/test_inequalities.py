@@ -22,6 +22,8 @@ from logseries.inequalities import (
     tangent_at,
     tangent_line_gap,
 )
+from logseries.inequalities import _draw
+from logseries.series import _log
 
 DBL_MAX = sys.float_info.max
 
@@ -192,6 +194,52 @@ def test_log_uniform_bounds_and_determinism():
     assert all(1e-6 <= d <= 100.0 for d in draws)
     rng_a, rng_b = random.Random(9), random.Random(9)
     assert [log_uniform(rng_a) for _ in range(10)] == [log_uniform(rng_b) for _ in range(10)]
+
+
+@pytest.mark.parametrize(
+    "lo, hi, error, match",
+    [
+        (True, 10.0, TypeError, "lo must be a real number, got bool"),
+        (-1, 2, ValueError, "lo must be a finite positive real, got -1.0"),
+        (0.0, 1.0, ValueError, "lo must be a finite positive real, got 0.0"),
+        (1.0, 0.0, ValueError, "hi must be a finite positive real, got 0.0"),
+        (5, 1, ValueError, r"lo must not exceed hi, got lo=5\.0, hi=1\.0"),
+    ],
+    ids=["bool_lo", "negative_lo", "zero_lo", "zero_hi", "lo_above_hi"],
+)
+def test_log_uniform_bounds_follow_the_number_rule(lo, hi, error, match):
+    with pytest.raises(error, match=match):
+        log_uniform(random.Random(1), lo, hi)
+
+
+@pytest.mark.parametrize("seed", [0, 42, 1711])
+def test_sweep_draws_are_log_uniform_draws(seed):
+    # The sweeps draw with the logs of the default bounds taken once: the same stream, bit for bit.
+    rng_a, rng_b = random.Random(seed), random.Random(seed)
+    for _ in range(10000):
+        assert _draw(rng_a).hex() == log_uniform(rng_b).hex()
+    assert rng_a.getstate() == rng_b.getstate()
+
+
+def test_default_sweeps_keep_their_worst_inputs():
+    line, at, concavity, amgm = (sweep() for sweep in (sweep_tangent_line, sweep_tangent_at, sweep_concavity, sweep_amgm))
+    assert (line.violations, at.violations, concavity.violations, amgm.violations) == (0, 0, 0, 0)
+    assert line.worst_input == (1.0034139842672314,)
+    assert at.worst_input == (0.5123610433025396, 0.5125998339427719)
+    assert concavity.worst_input == (0.5748265591028625, 0.5751143451833403, 0.4578843339102676)
+
+
+def test_checks_call_no_libm_log(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("libm log called")
+
+    for name in ("log", "log1p", "log2", "log10"):
+        monkeypatch.setattr(math, name, refuse)
+    assert _log(3.0) > 0.0
+    assert tangent_line_gap(3.0) > 0.0
+    assert tangent_at(2.0, 3.0) > 0.0
+    assert concavity_check(1.0, 4.0, 0.5) > 0.0
+    assert amgm_check([2.0, 8.0]).holds
 
 
 def test_sweeps_clean_at_modest_counts():

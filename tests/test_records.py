@@ -1,5 +1,6 @@
 """The five frozen records: repr, immutability, equality and construction; the number rule."""
 
+import random
 from decimal import Decimal
 from fractions import Fraction
 from types import SimpleNamespace
@@ -19,6 +20,7 @@ from logseries import (
     difference_quotient,
     double_integral_residual,
     eval_log,
+    log_uniform,
     partial_sum,
     sweep_amgm,
     sweep_concavity,
@@ -110,6 +112,8 @@ REAL_ARGUMENTS = [
     ("term.u_k", lambda v: term(3, v), 0.5, None),
     ("concavity_check.lam", lambda v: concavity_check(1.0, 4.0, v), 0.5, None),
     ("amgm_check.values", lambda v: amgm_check([v, 8.0]), 2.0, None),
+    ("log_uniform.lo", lambda v: log_uniform(random.Random(1), v, 10.0), 2.0, None),
+    ("log_uniform.hi", lambda v: log_uniform(random.Random(1), 0.5, v), 2.0, None),
     ("EvalConfig.tol", lambda v: EvalConfig(tol=v), 0.5, "tol"),
 ]
 INTEGER_ARGUMENTS = [

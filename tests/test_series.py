@@ -24,6 +24,8 @@ from logseries.series import (
 from logseries.series import _log, _walk
 
 DBL_MAX = sys.float_info.max
+DBL_MIN = sys.float_info.min
+SQRT_HALF = math.sqrt(0.5)
 
 # Correctly rounded doubles of exact targets, frozen from 60-digit
 # mpmath evaluations.
@@ -576,6 +578,12 @@ def test_property_tail_estimate_bounds_the_exact_tail(x, tol, max_terms):
 @example(5e-324)
 @example(DBL_MAX)
 @example(1.0)
+@example(math.nextafter(SQRT_HALF, 0.0))  # the range reduction's edges: m just below and at sqrt(1/2), ...
+@example(SQRT_HALF)
+@example(math.nextafter(2.0 * SQRT_HALF, 0.0))  # ... m just below sqrt(2)
+@example(0.5)
+@example(2.0)
+@example(DBL_MIN)
 def test_property_closed_log_relative_accuracy(x):
     # The kernel of the inequality checks is accurate relative to log(x), also next to 1.
     if x == 1.0:
@@ -583,7 +591,18 @@ def test_property_closed_log_relative_accuracy(x):
         return
     with mpmath.workprec(200):
         ref = mpmath.log(mpmath.mpf(x))
-        assert abs((mpmath.mpf(_log(x)) - ref) / ref) <= 2e-15, x
+        assert abs((mpmath.mpf(_log(x)) - ref) / ref) <= 1e-15, x
+
+
+def test_closed_log_at_every_power_of_two():
+    # x = 2**k reduces to m = 1 exactly, so _log(x) is k * log(2) from its two-part constant alone.
+    assert repr(_log(1.0)) == "0.0"
+    with mpmath.workprec(200):
+        ln2 = mpmath.log(2)
+        for k in range(-1074, 1024):
+            if k:
+                ref = k * ln2
+                assert abs((mpmath.mpf(_log(math.ldexp(1.0, k))) - ref) / ref) <= 2.0**-52, k
 
 
 def test_log_approx_result_is_an_immutable_record():
