@@ -14,6 +14,14 @@ trusting libm:
 * concavity:           log of a convex mix dominates the mix of logs;
 * AM-GM:               exp(mean(log v_i)) <= mean(v_i).
 
+The two-point checks are the first fact at a ratio: log(x) - log(a) is
+log(x/a), and the concavity margin does not change when x, y and the mix
+are divided by y.  So ``tangent_at`` takes one log, of x/a, and
+``concavity_check`` two, of mix/y and x/y, and their errors are a few ulps
+of 1 + |log(x/a)| (or |log(x/y)|), not of the logs of the points.  Where
+that ratio is not a normal double (0 or subnormal at the ends of the
+range), they take the log of each point, as written above.
+
 Each check returns a signed margin (or a report); the caller compares
 against a tolerance that covers evaluator rounding, not model error.
 The randomized sweeps draw log-uniformly from [1e-6, 100] with a fixed
@@ -59,6 +67,10 @@ SAMPLE_HI = 100.0
 _LOG_LO = math.log(SAMPLE_LO)
 _LOG_SPAN = math.log(SAMPLE_HI) - _LOG_LO
 
+# The two-point checks take the log of a ratio only where it is a normal double.
+_DBL_MIN = sys.float_info.min
+_DBL_MAX = sys.float_info.max
+
 
 class AmgmReport(NamedTuple):
     """Means of a positive vector and the AM-GM verdicts.
@@ -100,21 +112,33 @@ def tangent_line_gap(x: float) -> float:
 def tangent_at(a: float, x: float) -> float:
     """Margin log(a) + (x - a)/a - log(x), nonnegative for all a, x > 0.
 
-    ValueError where (x - a)/a is beyond the float range (tiny a, large x);
-    it is above -1, so it can overflow only upward.
+    Evaluated as (x - a)/a - log(x/a), one log of the ratio, so the error
+    is a few ulps of 1 + |log(x/a)| + |(x - a)/a|, not of |log a| + |log x|.
+    Where x/a is not a normal double (it rounds to 0 or a subnormal at the
+    ends of the range, as in tangent_at(1e300, 1e-300)), the two logs are
+    taken apart.  ValueError where (x - a)/a is beyond the float range
+    (tiny a, large x); it is above -1, so it can overflow only upward.
     """
     av = _positive_value(a)
     xv = _positive_value(x)
     slope = (xv - av) / av
     if slope == math.inf:
         raise ValueError(f"tangent_at({av!r}, {xv!r}) is beyond the float range")
+    ratio = xv / av
+    if _DBL_MIN <= ratio <= _DBL_MAX:
+        return slope - _log(ratio)
     return _log(av) + slope - _log(xv)
 
 
 def concavity_check(x: float, y: float, lam: float) -> float:
     """Margin log(lam*x + (1-lam)*y) - lam*log(x) - (1-lam)*log(y).
 
-    Nonnegative for lam in [0, 1]; zero when x = y or lam is 0 or 1.
+    Nonnegative for lam in [0, 1]; zero when x = y or lam is 0 or 1.  The
+    margin does not change when x, y and the mix are divided by y, so it is
+    evaluated as log(mix/y) - lam*log(x/y), two logs of ratios, and its
+    error is a few ulps of 1 + |log(x/y)|.  Where x/y is not a normal
+    double (concavity_check(5e-324, DBL_MAX, 0.5)), the three logs are
+    taken apart.
     """
     xv = _positive_value(x)
     yv = _positive_value(y)
@@ -122,11 +146,15 @@ def concavity_check(x: float, y: float, lam: float) -> float:
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lam must lie in [0, 1], got {lam!r}")
     mix = lam * xv + (1.0 - lam) * yv
-    if mix < sys.float_info.min and 0.0 < lam < 1.0:
+    if mix < _DBL_MIN and 0.0 < lam < 1.0:
         # The mix underflowed, to 0 or to a subnormal short of low bits.  The
         # margin is unchanged by scaling x and y (both < 2**52 here) by 2**64.
         xv, yv = xv * 2.0**64, yv * 2.0**64
         mix = lam * xv + (1.0 - lam) * yv
+    ratio = xv / yv
+    if _DBL_MIN <= ratio <= _DBL_MAX:
+        # mix lies between x and y up to rounding, so mix/y is positive and finite too.
+        return _log(mix / yv) - lam * _log(ratio)
     return _log(mix) - (lam * _log(xv) + (1.0 - lam) * _log(yv))
 
 
@@ -160,16 +188,24 @@ def amgm_check(values: Sequence[float]) -> AmgmReport:
 
 
 def log_uniform(rng: random.Random, lo: float = SAMPLE_LO, hi: float = SAMPLE_HI) -> float:
-    """One draw whose logarithm is uniform on [log lo, log hi], for finite positive reals lo <= hi."""
+    """One draw whose logarithm is uniform on [log lo, log hi], for finite positive reals lo <= hi.
+
+    exp(log(v)) is not v, and the gap grows with |log v|, so the draw is
+    clamped into [lo, hi]: log_uniform(rng, DBL_MAX, DBL_MAX) is DBL_MAX.
+    """
     lo = _real_above(lo, "lo", 0.0, "a finite positive real")
     hi = _real_above(hi, "hi", 0.0, "a finite positive real")
     if lo > hi:
         raise ValueError(f"lo must not exceed hi, got lo={lo!r}, hi={hi!r}")
-    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+    return min(max(math.exp(rng.uniform(math.log(lo), math.log(hi))), lo), hi)
 
 
 def _draw(rng: random.Random) -> float:
-    """log_uniform(rng), bit for bit: uniform(a, b) is a + (b - a) * random()."""
+    """log_uniform(rng), bit for bit: uniform(a, b) is a + (b - a) * random().
+
+    No clamp is needed: random() in [0, 1 - 2**-53] gives draws from
+    1.0000000000000004e-06 to 99.99999999999987, inside [1e-6, 100].
+    """
     return math.exp(_LOG_LO + _LOG_SPAN * rng.random())
 
 

@@ -284,32 +284,36 @@ def _walk(x: float, n: int, tol: float = -1.0, us: "list | None" = None) -> tupl
 _LN2_HI = float.fromhex("0x1.62e42fee00000p-1")
 _LN2_LO = float.fromhex("0x1.a39ef35793c76p-33")
 _SQRT_HALF = math.sqrt(0.5)
+_frexp = math.frexp
+_sqrt = math.sqrt
 
 
 def _log(x: float) -> float:
     """log(x) for a checked x = m * 2**e: e * log(2), plus log(m) from at most two chain steps and an atanh tail.
 
-    x = m * 2**e with m in [sqrt(1/2), sqrt(2)) exactly, subnormals
-    included, and u = m - 1 is exact (Sterbenz).  At most two steps of the
-    chain take u from [-0.293, 0.414) to |u_n| <= 1/8, and none next to 1.
-    The tail is log(m) = 2**n * log1p(u_n) = 2**(n+1) * atanh(z) with
-    z = u_n / (2 + u_n), |z| <= 1/15, summed to z**13 / 13; the rest is at
-    most 2 * |z|**15 / (15 * (1 - z*z)) < 2**-58 * |2z|.  No libm log is
-    used.  Worst relative error against mpmath at 200 bits: 4.2e-16.
+    x must be a positive double, subnormals and DBL_MAX included; 0.0
+    never returns, since u = -1 is a fixed point of the step.  x = m * 2**e
+    with m in [sqrt(1/2), sqrt(2)) exactly, and u = m - 1 is exact
+    (Sterbenz).  At most two steps of the chain take u from [-0.293, 0.414)
+    to |u_n| <= 1/8, and none next to 1.  The tail is
+    log(m) = 2**n * log1p(u_n) = 2**(n+1) * atanh(z) with z = u_n / (2 + u_n),
+    |z| <= 1/15, summed to z**13 / 13; the rest is at most
+    2 * |z|**15 / (15 * (1 - z*z)) < 2**-58 * |2z|.  No libm log is used.
+    Worst relative error against mpmath at 200 bits: 4.2e-16.
     """
-    m, e = math.frexp(x)
+    m, e = _frexp(x)
     if m < _SQRT_HALF:
         m += m
         e -= 1
     u = m - 1.0
-    n = 1  # the factor 2 of 2 * atanh(z)
-    while abs(u) > 0.125:
-        u /= math.sqrt(1.0 + u) + 1.0
-        n += 1
+    scale = 2.0  # 2**(n+1) after n steps, by doubling; p * scale is exact, p being 0 or normal
+    while u > 0.125 or u < -0.125:
+        u /= _sqrt(1.0 + u) + 1.0
+        scale += scale
     z = u / (2.0 + u)
     zz = z * z
     p = z + z * zz * (1.0 / 3.0 + zz * (0.2 + zz * (1.0 / 7.0 + zz * (1.0 / 9.0 + zz * (1.0 / 11.0 + zz / 13.0)))))
-    return e * _LN2_HI + (e * _LN2_LO + math.ldexp(p, n))
+    return e * _LN2_HI + (e * _LN2_LO + p * scale)
 
 
 def _closed_sum(x: float, d: float) -> float:

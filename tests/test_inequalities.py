@@ -6,7 +6,7 @@ import sys
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from logseries.inequalities import (
     EQUALITY_TOL,
@@ -26,6 +26,33 @@ from logseries.inequalities import _draw
 from logseries.series import _log
 
 DBL_MAX = sys.float_info.max
+
+# Where x/a or x/y rounds to 0 or a subnormal, the checks take the logs apart.
+TANGENT_CORNERS = [(1.0, 5e-324), (2.0, 5e-324), (1e300, 1e-300)]
+CONCAVITY_CORNERS = [(5e-324, DBL_MAX, 0.5), (1e-300, 1e300, 1e-10)]
+
+POSITIVE = st.floats(min_value=5e-324, max_value=DBL_MAX)
+# The second point within a factor 1/2..3/2 of the first, often within a few ulps.
+NEAR_DIAGONAL = st.tuples(POSITIVE, st.floats(min_value=-0.5, max_value=0.5)).map(
+    lambda p: (p[0], min(max(p[0] * (1.0 + p[1]), 5e-324), DBL_MAX))
+)
+PAIRS = st.one_of(st.tuples(POSITIVE, POSITIVE), NEAR_DIAGONAL)
+
+
+def tangent_at_error(a, x):
+    """|tangent_at(a, x) - exact| / (1 + |log(x/a)| + |(x - a)/a|), exact from mpmath at 200 bits."""
+    with mpmath.workprec(200):
+        r = mpmath.mpf(x) / mpmath.mpf(a)
+        exact = (r - 1) - mpmath.log(r)
+        return abs(mpmath.mpf(tangent_at(a, x)) - exact) / (1 + abs(mpmath.log(r)) + abs(r - 1))
+
+
+def concavity_error(x, y, lam):
+    """|concavity_check(x, y, lam) - exact| / (1 + |log(x/y)|), exact from mpmath at 200 bits."""
+    with mpmath.workprec(200):
+        xm, ym, lm = mpmath.mpf(x), mpmath.mpf(y), mpmath.mpf(lam)
+        exact = mpmath.log(lm * xm + (1 - lm) * ym) - lm * mpmath.log(xm) - (1 - lm) * mpmath.log(ym)
+        return abs(mpmath.mpf(concavity_check(x, y, lam)) - exact) / (1 + abs(mpmath.log(xm / ym)))
 
 
 def test_tangent_line_gap_zero_at_one():
@@ -82,6 +109,21 @@ def test_tangent_at_beyond_the_float_range_is_a_value_error(a, x):
         tangent_at(a, x)
 
 
+@pytest.mark.parametrize("a, x", TANGENT_CORNERS)
+def test_tangent_at_where_the_ratio_is_not_normal(a, x):
+    assert x / a < sys.float_info.min
+    assert tangent_at_error(a, x) <= 1e-15
+
+
+@settings(max_examples=300, deadline=None)
+@given(PAIRS)
+def test_property_tangent_at_accurate_to_the_ratio_log(pair):
+    # One log of x/a: the error scales with 1 + |log(x/a)|, not with |log a| + |log x|.
+    a, x = pair
+    assume(x / a <= DBL_MAX)  # else (x - a)/a overflows and tangent_at refuses the pair
+    assert tangent_at_error(a, x) <= 1e-15
+
+
 def test_concavity_degenerate_cases():
     # lam 0 or 1 reduces the mix to one endpoint exactly
     assert concavity_check(2.0, 9.0, 0.0) == 0.0
@@ -110,6 +152,20 @@ def test_concavity_at_subnormal_inputs():
     assert concavity_check(5e-324, 1.5e-323, 0.25) == pytest.approx(expected, abs=1e-11)
     # At lam = 0 the mix is y exactly, and x is not scaled (it may be huge).
     assert concavity_check(sys.float_info.max, 5e-324, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("x, y, lam", CONCAVITY_CORNERS)
+def test_concavity_where_the_ratio_is_not_normal(x, y, lam):
+    assert x / y < sys.float_info.min
+    assert concavity_error(x, y, lam) <= 1e-15
+
+
+@settings(max_examples=300, deadline=None)
+@given(PAIRS, st.floats(min_value=0.0, max_value=1.0))
+def test_property_concavity_accurate_to_the_ratio_log(pair, lam):
+    # Logs of mix/y and x/y: the error scales with 1 + |log(x/y)|.
+    x, y = pair
+    assert concavity_error(x, y, lam) <= 1e-15
 
 
 def test_concavity_lambda_validation():
@@ -196,6 +252,31 @@ def test_log_uniform_bounds_and_determinism():
     assert [log_uniform(rng_a) for _ in range(10)] == [log_uniform(rng_b) for _ in range(10)]
 
 
+@pytest.mark.parametrize("bound", [DBL_MAX, 1e-300, 100.0])
+def test_log_uniform_clamps_into_its_bounds(bound):
+    # exp(log(v)) misses v by more as |log v| grows: 1.7976931348622732e308 at DBL_MAX.
+    assert log_uniform(random.Random(1), bound, bound) == bound
+
+
+class _FixedRandom(random.Random):
+    """A generator whose random() always returns one value."""
+
+    def __init__(self, value):
+        super().__init__(0)
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+@pytest.mark.parametrize("value", [0.0, 1.0 - 2.0**-53])
+def test_sweep_draw_extremes_stay_in_the_default_bounds(value):
+    # Why _draw needs no clamp: its extremes are 1.0000000000000004e-06 and 99.99999999999987.
+    draw = _draw(_FixedRandom(value))
+    assert 1e-6 <= draw <= 100.0
+    assert draw.hex() == log_uniform(_FixedRandom(value)).hex()
+
+
 @pytest.mark.parametrize(
     "lo, hi, error, match",
     [
@@ -240,6 +321,10 @@ def test_checks_call_no_libm_log(monkeypatch):
     assert tangent_at(2.0, 3.0) > 0.0
     assert concavity_check(1.0, 4.0, 0.5) > 0.0
     assert amgm_check([2.0, 8.0]).holds
+    for a, x in TANGENT_CORNERS:
+        assert tangent_at(a, x) > 0.0
+    for x, y, lam in CONCAVITY_CORNERS:
+        assert concavity_check(x, y, lam) > 0.0
 
 
 def test_sweeps_clean_at_modest_counts():
