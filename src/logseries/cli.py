@@ -306,7 +306,7 @@ def _build_parser() -> _Parser:
     p_amgm.add_argument("--values", default=None, help="comma-separated positive values; omit for a sweep")
     p_amgm.set_defaults(func=_cmd_check_amgm)
 
-    p_int = check_sub.add_parser("integral", help="series residual vs Simpson quadrature")
+    p_int = check_sub.add_parser("integral", help="closed-tail x - 1 - log(x) vs Simpson quadrature")
     p_int.add_argument("--x", type=float, default=None, help="single point; omit for the default grid")
     p_int.add_argument("--panels", type=int, default=QuadratureConfig().panels,
                        help="Simpson panels per power-of-two piece (default %(default)s)")

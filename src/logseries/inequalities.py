@@ -33,7 +33,7 @@ import random
 import sys
 from typing import Callable, NamedTuple, Sequence
 
-from .series import _int_at_least, _log, _positive_value, _real, _real_above
+from .series import _int_at_least, _log, _positive_value, _real
 
 __all__ = [
     "AmgmReport",
@@ -42,7 +42,6 @@ __all__ = [
     "tangent_at",
     "concavity_check",
     "amgm_check",
-    "log_uniform",
     "sweep_tangent_line",
     "sweep_tangent_at",
     "sweep_concavity",
@@ -63,7 +62,7 @@ DEFAULT_SEED = 42
 SAMPLE_LO = 1e-6
 SAMPLE_HI = 100.0
 
-# The sweeps' draws are log_uniform(rng) with the logs of the bounds taken once.
+# The logs of the sweeps' bounds, taken once for every draw of :func:`_draw`.
 _LOG_LO = math.log(SAMPLE_LO)
 _LOG_SPAN = math.log(SAMPLE_HI) - _LOG_LO
 
@@ -187,21 +186,8 @@ def amgm_check(values: Sequence[float]) -> AmgmReport:
     )
 
 
-def log_uniform(rng: random.Random, lo: float = SAMPLE_LO, hi: float = SAMPLE_HI) -> float:
-    """One draw whose logarithm is uniform on [log lo, log hi], for finite positive reals lo <= hi.
-
-    exp(log(v)) is not v, and the gap grows with |log v|, so the draw is
-    clamped into [lo, hi]: log_uniform(rng, DBL_MAX, DBL_MAX) is DBL_MAX.
-    """
-    lo = _real_above(lo, "lo", 0.0, "a finite positive real")
-    hi = _real_above(hi, "hi", 0.0, "a finite positive real")
-    if lo > hi:
-        raise ValueError(f"lo must not exceed hi, got lo={lo!r}, hi={hi!r}")
-    return min(max(math.exp(rng.uniform(math.log(lo), math.log(hi))), lo), hi)
-
-
 def _draw(rng: random.Random) -> float:
-    """log_uniform(rng), bit for bit: uniform(a, b) is a + (b - a) * random().
+    """exp(rng.uniform(log SAMPLE_LO, log SAMPLE_HI)) bit for bit: uniform(a, b) is a + (b - a) * random().
 
     No clamp is needed: random() in [0, 1 - 2**-53] gives draws from
     1.0000000000000004e-06 to 99.99999999999987, inside [1e-6, 100].
@@ -218,7 +204,7 @@ def _sweep(
     seed: int,
 ) -> SweepReport:
     count = _int_at_least(count, "count", 1)
-    rng = random.Random(seed)
+    rng = random.Random(_int_at_least(seed, "seed", -math.inf))
     min_margin = math.inf
     worst: tuple = ()
     violations = 0

@@ -281,6 +281,16 @@ def test_bench_single_point_csv():
     assert lines[3].startswith("summary,")
 
 
+def test_bench_human_format():
+    proc = run_cli("bench", "--grid", "1:4:2")
+    assert proc.returncode == 0
+    lines = _stdout_text(proc).splitlines()
+    assert len(lines) == 3
+    assert lines[0].startswith("x = 1: ") and lines[1].startswith("x = 4: ")
+    assert lines[2].startswith("summary: points = 2, ")
+    assert lines[2].endswith(", median_terms = 24.5")
+
+
 def test_bench_grid_spans_endpoints():
     def points(lo, hi, count):
         proc = run_cli("bench", "--grid", f"{lo!r}:{hi!r}:{count}", "--format", "csv")

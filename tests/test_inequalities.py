@@ -14,7 +14,6 @@ from logseries.inequalities import (
     PAIR_TOL,
     amgm_check,
     concavity_check,
-    log_uniform,
     sweep_amgm,
     sweep_concavity,
     sweep_tangent_at,
@@ -22,7 +21,7 @@ from logseries.inequalities import (
     tangent_at,
     tangent_line_gap,
 )
-from logseries.inequalities import _draw
+from logseries.inequalities import _draw, _sweep
 from logseries.series import _log
 
 DBL_MAX = sys.float_info.max
@@ -244,18 +243,9 @@ def test_amgm_scale_covariance():
         assert scaled.holds is report.holds
 
 
-def test_log_uniform_bounds_and_determinism():
-    rng = random.Random(0)
-    draws = [log_uniform(rng) for _ in range(1000)]
-    assert all(1e-6 <= d <= 100.0 for d in draws)
-    rng_a, rng_b = random.Random(9), random.Random(9)
-    assert [log_uniform(rng_a) for _ in range(10)] == [log_uniform(rng_b) for _ in range(10)]
-
-
-@pytest.mark.parametrize("bound", [DBL_MAX, 1e-300, 100.0])
-def test_log_uniform_clamps_into_its_bounds(bound):
-    # exp(log(v)) misses v by more as |log v| grows: 1.7976931348622732e308 at DBL_MAX.
-    assert log_uniform(random.Random(1), bound, bound) == bound
+def _log_uniform(rng):
+    """The plain log-uniform draw on the sweeps' default bounds [1e-6, 100]."""
+    return math.exp(rng.uniform(math.log(1e-6), math.log(100.0)))
 
 
 class _FixedRandom(random.Random):
@@ -274,23 +264,7 @@ def test_sweep_draw_extremes_stay_in_the_default_bounds(value):
     # Why _draw needs no clamp: its extremes are 1.0000000000000004e-06 and 99.99999999999987.
     draw = _draw(_FixedRandom(value))
     assert 1e-6 <= draw <= 100.0
-    assert draw.hex() == log_uniform(_FixedRandom(value)).hex()
-
-
-@pytest.mark.parametrize(
-    "lo, hi, error, match",
-    [
-        (True, 10.0, TypeError, "lo must be a real number, got bool"),
-        (-1, 2, ValueError, "lo must be a finite positive real, got -1.0"),
-        (0.0, 1.0, ValueError, "lo must be a finite positive real, got 0.0"),
-        (1.0, 0.0, ValueError, "hi must be a finite positive real, got 0.0"),
-        (5, 1, ValueError, r"lo must not exceed hi, got lo=5\.0, hi=1\.0"),
-    ],
-    ids=["bool_lo", "negative_lo", "zero_lo", "zero_hi", "lo_above_hi"],
-)
-def test_log_uniform_bounds_follow_the_number_rule(lo, hi, error, match):
-    with pytest.raises(error, match=match):
-        log_uniform(random.Random(1), lo, hi)
+    assert draw.hex() == _log_uniform(_FixedRandom(value)).hex()
 
 
 @pytest.mark.parametrize("seed", [0, 42, 1711])
@@ -298,7 +272,7 @@ def test_sweep_draws_are_log_uniform_draws(seed):
     # The sweeps draw with the logs of the default bounds taken once: the same stream, bit for bit.
     rng_a, rng_b = random.Random(seed), random.Random(seed)
     for _ in range(10000):
-        assert _draw(rng_a).hex() == log_uniform(rng_b).hex()
+        assert _draw(rng_a).hex() == _log_uniform(rng_b).hex()
     assert rng_a.getstate() == rng_b.getstate()
 
 
@@ -340,6 +314,25 @@ def test_sweep_count_below_one_is_refused():
         for count in (-5, 0):
             with pytest.raises(ValueError, match="count"):
                 sweep(count=count)
+
+
+def test_sweep_seed_is_an_integer_of_either_sign():
+    # The number-rule table in test_records covers numpy integers and the other refusals.
+    for seed in (True, None, "a", b"x", 2.5):
+        with pytest.raises(TypeError, match="seed"):
+            sweep_tangent_line(count=3, seed=seed)
+    assert sweep_tangent_line(count=50, seed=-3) == sweep_tangent_line(count=50, seed=-3)
+
+
+def test_sweep_counts_violations_as_a_recount_does():
+    report = _sweep("half", lambda rng: (rng.random(),), lambda v: v - 0.5, 0.0, 200, 9)
+    rng = random.Random(9)
+    values = [rng.random() for _ in range(200)]
+    below = [v for v in values if v - 0.5 < 0.0]
+    assert report.violations == len(below) > 0
+    assert report.first_violation == ((below[0],), below[0] - 0.5)
+    assert report.min_margin == min(values) - 0.5
+    assert report.worst_input == (min(values),)
 
 
 def test_sweep_reports_are_reproducible():

@@ -23,7 +23,6 @@ PUBLIC_NAMES = [
     "difference_quotient",
     "double_integral_residual",
     "eval_log",
-    "log_uniform",
     "partial_sum",
     "reference_log",
     "sweep_amgm",

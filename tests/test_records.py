@@ -1,6 +1,5 @@
 """The five frozen records: repr, immutability, equality and construction; the number rule."""
 
-import random
 from decimal import Decimal
 from fractions import Fraction
 from types import SimpleNamespace
@@ -20,7 +19,6 @@ from logseries import (
     difference_quotient,
     double_integral_residual,
     eval_log,
-    log_uniform,
     partial_sum,
     sweep_amgm,
     sweep_concavity,
@@ -112,8 +110,6 @@ REAL_ARGUMENTS = [
     ("term.u_k", lambda v: term(3, v), 0.5, None),
     ("concavity_check.lam", lambda v: concavity_check(1.0, 4.0, v), 0.5, None),
     ("amgm_check.values", lambda v: amgm_check([v, 8.0]), 2.0, None),
-    ("log_uniform.lo", lambda v: log_uniform(random.Random(1), v, 10.0), 2.0, None),
-    ("log_uniform.hi", lambda v: log_uniform(random.Random(1), 0.5, v), 2.0, None),
     ("EvalConfig.tol", lambda v: EvalConfig(tol=v), 0.5, "tol"),
 ]
 INTEGER_ARGUMENTS = [
@@ -128,6 +124,10 @@ INTEGER_ARGUMENTS = [
     ("sweep_tangent_at.count", lambda v: sweep_tangent_at(count=v), 3, None),
     ("sweep_concavity.count", lambda v: sweep_concavity(count=v), 3, None),
     ("sweep_amgm.count", lambda v: sweep_amgm(count=v), 3, None),
+    ("sweep_tangent_line.seed", lambda v: sweep_tangent_line(count=3, seed=v), 5, None),
+    ("sweep_tangent_at.seed", lambda v: sweep_tangent_at(count=3, seed=v), 5, None),
+    ("sweep_concavity.seed", lambda v: sweep_concavity(count=3, seed=v), 5, None),
+    ("sweep_amgm.seed", lambda v: sweep_amgm(count=3, seed=v), 5, None),
 ]
 # numpy bools, complex numbers, strings and arrays have __float__, but are no reals either.
 NOT_NUMBERS = [True, "2", None, 2 + 0j, np.True_, np.complex128(2 + 3j), np.str_("2"), np.array([2.0])]

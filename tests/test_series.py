@@ -625,8 +625,12 @@ def test_log_approx_result_is_an_immutable_record():
         lambda: term(1100, 0.5),
         lambda: term(1, 1e200),
         lambda: term(5, 1e160),
+        lambda: term(2000, 1e300),
     ],
-    ids=["tail_ratio_1e308", "tail_ratio_8p99e307", "tail_ratio_dbl_max", "term_k1100", "term_1e200", "term_k5_1e160"],
+    ids=[
+        "tail_ratio_1e308", "tail_ratio_8p99e307", "tail_ratio_dbl_max",
+        "term_k1100", "term_1e200", "term_k5_1e160", "term_k2000_1e300",
+    ],
 )
 def test_values_beyond_the_float_range_are_a_value_error(call):
     with pytest.raises(ValueError, match="beyond the float range"):
