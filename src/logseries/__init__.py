@@ -3,7 +3,7 @@
 The identity x - 1 - log(x) = sum(2**(k-1) * (x**(2**-k) - 1)**2, k >= 1)
 turns the logarithm into a sum of squares.  :mod:`logseries.series`
 evaluates it stably, :mod:`logseries.oracles` cross-checks it against
-independent quadrature and libm, and :mod:`logseries.inequalities` uses
+independent quadrature, and :mod:`logseries.inequalities` uses
 it to verify the classical tangent, concavity, and AM-GM inequalities.
 The ``logseries`` command line fronts all of it.
 """

@@ -25,7 +25,7 @@ from .inequalities import (
     sweep_tangent_line,
     tangent_line_gap,
 )
-from .oracles import QuadratureConfig, double_integral_residual, reference_log
+from .oracles import QuadratureConfig, double_integral_residual
 from .series import EvalConfig, eval_log, trace
 
 EXIT_OK = 0
@@ -215,21 +215,19 @@ def _cmd_check_integral(args) -> int:
     return _verdict(failed)
 
 
-def _timed_eval(x: float, config: EvalConfig) -> float:
-    import statistics  # only bench needs it; the other commands start faster without it
-
-    eval_log(x, config)
+def _batch_times(x: float, config: EvalConfig) -> list[float]:
+    """Seconds per eval in each of TIMING_BATCHES batches; the caller's eval of x is the warm-up."""
     samples = []
     for _ in range(TIMING_BATCHES):
         start = time.perf_counter()
         for _ in range(TIMING_REPS):
             eval_log(x, config)
         samples.append((time.perf_counter() - start) / TIMING_REPS)
-    return statistics.median(samples)
+    return samples
 
 
 def _cmd_bench(args) -> int:
-    import statistics
+    import statistics  # only bench needs it; the other commands start faster without it
 
     points = _parse_grid(args.grid)
     config = EvalConfig(tol=args.tol, max_terms=args.max_terms)
@@ -237,10 +235,10 @@ def _cmd_bench(args) -> int:
     all_converged = True
     for x in points:
         result = eval_log(x, config)
-        ref = reference_log(x)
+        ref = math.log(x)
         abs_error = abs(result.log_value - ref)
         rel_error = abs_error / max(1.0, abs(ref))
-        rows.append((x, result.terms_used, abs_error, rel_error, _timed_eval(x, config)))
+        rows.append((x, result.terms_used, abs_error, rel_error, statistics.median(_batch_times(x, config))))
         all_converged = all_converged and result.converged
     max_abs = max(r[2] for r in rows)
     max_rel = max(r[3] for r in rows)

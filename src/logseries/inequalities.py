@@ -132,12 +132,14 @@ def tangent_at(a: float, x: float) -> float:
 def concavity_check(x: float, y: float, lam: float) -> float:
     """Margin log(lam*x + (1-lam)*y) - lam*log(x) - (1-lam)*log(y).
 
-    Nonnegative for lam in [0, 1]; zero when x = y or lam is 0 or 1.  The
-    margin does not change when x, y and the mix are divided by y, so it is
-    evaluated as log(mix/y) - lam*log(x/y), two logs of ratios, and its
-    error is a few ulps of 1 + |log(x/y)|.  Where x/y is not a normal
-    double (concavity_check(5e-324, DBL_MAX, 0.5)), the three logs are
-    taken apart.
+    Nonnegative for lam in [0, 1], and exactly 0 at lam = 0 or 1, where the mix
+    is an endpoint.  At x = y only the rounding of the mix is left: a margin of
+    either sign, below 2**-51 (concavity_check(DBL_MAX, DBL_MAX, 0.3) is
+    -1.1e-16).  The margin does not change when x, y and the mix are divided
+    by y, so it is evaluated as log(mix/y) - lam*log(x/y), two logs of
+    ratios, and its error is a few ulps of 1 + |log(x/y)|.  Where x/y is not
+    a normal double (concavity_check(5e-324, DBL_MAX, 0.5)), the three logs
+    are taken apart.
     """
     xv = _positive_value(x)
     yv = _positive_value(y)

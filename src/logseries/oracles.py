@@ -6,8 +6,8 @@ order of integration, an exact step, makes it the single integral of
 (x - s)/s**2 over s in [1, x].  Composite Simpson quadrature of that takes no
 antiderivative (the closed form would smuggle the answer in) and no log or
 square root, so it shares no code and no algebraic identity with the
-square-root recurrence: agreement is evidence, not tautology.  reference_log
-exposes the platform libm logarithm as a second, cheaper oracle.
+square-root recurrence: agreement is evidence, not tautology.  The platform
+libm logarithm, ``math.log``, is the second, cheaper yardstick.
 
 The mesh is graded (Davis & Rabinowitz, *Methods of Numerical Integration*):
 [1, x] is split at the powers of two between 1 and x, by doubling or halving,
@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from .series import _int_at_least, _positive_value
 
-__all__ = ["QuadratureConfig", "double_integral_residual", "reference_log"]
+__all__ = ["QuadratureConfig", "double_integral_residual"]
 
 
 # The bound limits time: pieces * panels nodes, and x = 1e308 or 2**-1025 has about 1024 pieces, 4.2M nodes at 4096.
@@ -101,7 +101,3 @@ def double_integral_residual(x: float, config: "QuadratureConfig | None" = None)
         raise ValueError(f"the quadrature at x = {xv!r} is beyond the float range")
     return result
 
-
-def reference_log(x: float) -> float:
-    """The platform libm natural logarithm, as an accuracy yardstick."""
-    return math.log(_positive_value(x))

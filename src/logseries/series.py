@@ -71,7 +71,6 @@ __all__ = [
     "LogApproxResult",
     "TraceRow",
     "decrement_step",
-    "term",
     "partial_sum",
     "difference_quotient",
     "eval_log",
@@ -319,20 +318,6 @@ def _log(x: float) -> float:
 def _closed_sum(x: float, d: float) -> float:
     """S = (x - 1) - D, for S past the float range: x - 1 dwarfs D = log(x) there, so nothing cancels."""
     return (x - 1.0) - d
-
-
-def term(k: int, u_k: float) -> float:
-    """Series term 2**(k-1) * u_k**2, correctly rounded where normal (term(1100, 1e-170) is 6.79e-10); ValueError past the float range."""
-    k = _int_at_least(k, "k", 1)
-    u_k = _real_above(u_k, "u_k", -1.0, "a finite real > -1")
-    try:  # scaled by 2**((k-1)//2) before it is squared, so the square underflows only where the term does
-        v = math.ldexp(u_k, (k - 1) // 2)
-    except OverflowError:
-        v = math.inf
-    t = v * (v + v if k % 2 == 0 else v)  # an odd k - 1 puts its factor 2 in before the one rounding
-    if t == math.inf:
-        raise ValueError(f"term({k}, {u_k!r}) is beyond the float range")
-    return t
 
 
 def partial_sum(x: float, n: int) -> float:

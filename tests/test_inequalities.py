@@ -130,6 +130,17 @@ def test_concavity_degenerate_cases():
     assert concavity_check(5.0, 5.0, 0.3) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_concavity_at_equal_points_is_within_the_rounding_of_the_mix():
+    # At x = y the margin is log(mix/x), mix/x within two ulps of 1: nonzero and
+    # even negative on some draws, yet never past 2**-51.
+    rng = random.Random(20)
+    ends = (5e-324, sys.float_info.min, math.nextafter(1.0, 0.0), 1.0, DBL_MAX)
+    lams = (5e-324, 1e-300, 0.3, 0.5, math.nextafter(1.0, 0.0))
+    cases = [(x, lam) for x in ends for lam in lams]
+    cases += [(math.exp(rng.uniform(-744.0, 709.78)), rng.random()) for _ in range(100_000)]
+    assert max(abs(concavity_check(x, x, lam)) for x, lam in cases) <= 2.0**-51
+
+
 def test_concavity_midpoint_value():
     expected = math.log(2.5) - 0.5 * math.log(4.0)
     assert concavity_check(1.0, 4.0, 0.5) == pytest.approx(expected, abs=1e-11)

@@ -24,7 +24,6 @@ PUBLIC_NAMES = [
     "double_integral_residual",
     "eval_log",
     "partial_sum",
-    "reference_log",
     "sweep_amgm",
     "sweep_concavity",
     "sweep_tangent_at",
@@ -32,7 +31,6 @@ PUBLIC_NAMES = [
     "tail_ratio",
     "tangent_at",
     "tangent_line_gap",
-    "term",
     "trace",
 ]
 

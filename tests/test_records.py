@@ -25,7 +25,6 @@ from logseries import (
     sweep_tangent_at,
     sweep_tangent_line,
     tail_ratio,
-    term,
     trace,
 )
 
@@ -107,7 +106,6 @@ REAL_ARGUMENTS = [
     ("tail_ratio.x", lambda v: tail_ratio(v, 5), 2.0, None),
     ("trace.x", lambda v: trace(v, 3), 2.0, None),
     ("decrement_step.u", lambda v: decrement_step(v), 0.5, None),
-    ("term.u_k", lambda v: term(3, v), 0.5, None),
     ("concavity_check.lam", lambda v: concavity_check(1.0, 4.0, v), 0.5, None),
     ("amgm_check.values", lambda v: amgm_check([v, 8.0]), 2.0, None),
     ("EvalConfig.tol", lambda v: EvalConfig(tol=v), 0.5, "tol"),
@@ -116,7 +114,6 @@ INTEGER_ARGUMENTS = [
     ("partial_sum.n", lambda v: partial_sum(2.0, v), 5, None),
     ("difference_quotient.n", lambda v: difference_quotient(2.0, v), 5, None),
     ("trace.n", lambda v: trace(2.0, v), 3, None),
-    ("term.k", lambda v: term(v, 0.5), 3, None),
     ("tail_ratio.k", lambda v: tail_ratio(2.0, v), 5, None),
     ("EvalConfig.max_terms", lambda v: EvalConfig(max_terms=v), 5, "max_terms"),
     ("QuadratureConfig.panels", lambda v: QuadratureConfig(v), 64, "panels"),

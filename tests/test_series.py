@@ -18,7 +18,6 @@ from logseries.series import (
     eval_log,
     partial_sum,
     tail_ratio,
-    term,
     trace,
 )
 from logseries.series import _log, _walk
@@ -119,34 +118,26 @@ def test_trace_chain_tracks_true_roots():
                 assert chain[k][1] == pytest.approx(expected, rel=5e-13, abs=1e-18)
 
 
-def test_term_examples():
-    assert term(1, 1.0) == 1.0
-    assert term(1, 3.0) == 9.0
-    assert term(5, 0.0) == 0.0
-    # doubling k scales by exactly 2: ldexp arithmetic is exact
-    assert term(7, 0.3) == 2.0 * term(6, 0.3)
-
-
 def test_term_matches_extended_precision():
-    # One multiply plus an exact power-of-two scale is correctly rounded,
-    # so the result must equal the rounded exact value.
-    with mpmath.workdps(50):
-        # At (1100, 1e-170) u**2 underflows, but the term is 6.79e-10.
-        for k, u in ((2, 0.41421356237309503), (2, 0.41421356237309515), (11, -0.125), (1100, 1e-170)):
-            expected = float(mpmath.ldexp(mpmath.mpf(u) ** 2, k - 1))
-            assert term(k, u) == expected
-
-
-def test_term_validation():
-    for bad_k in (0, -3):
-        with pytest.raises(ValueError):
-            term(bad_k, 0.5)
-    with pytest.raises(TypeError):
-        term(1.5, 0.5)
-    with pytest.raises(ValueError):
-        term(2, -1.0)
-    with pytest.raises(ValueError):
-        term(2, math.inf)
+    # Each term of trace is one multiply and an exact power-of-two scale, so it is
+    # 2**(k-1) * u_k**2 correctly rounded, from the row's own u_k, wherever u_k and
+    # the term are normal.  Past the cutoff a subnormal row u is a rounding of
+    # u_m * 2**(m-k), and the term, formed from u_m, is the more accurate of the two.
+    rng = random.Random(20)
+    xs = [5e-324, DBL_MIN, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), DBL_MAX]
+    xs += [math.exp(rng.uniform(-744.0, 709.78)) for _ in range(50)]
+    xs += [1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** -rng.uniform(1.0, 15.0) for _ in range(50)]
+    checked = 0
+    with mpmath.workprec(120):  # u_k**2 * 2**(k-1) exactly: 106 bits
+        for x in xs:
+            for row in trace(x, 1300)[1:]:
+                if abs(row.u) < DBL_MIN:
+                    continue
+                expected = float(mpmath.ldexp(mpmath.mpf(row.u) ** 2, row.k - 1))
+                if DBL_MIN <= expected <= DBL_MAX:
+                    assert row.term == expected, (x, row.k)
+                    checked += 1
+    assert checked > 100_000
 
 
 def test_partial_sum_examples():
@@ -290,7 +281,7 @@ def test_term_ratio_near_half_at_k50():
     # bits, so the window must be closed on both sides.
     for x in (0.5, 2.0, 10.0):
         rows = trace(x, 51)
-        ratio = term(51, rows[51].u) / term(50, rows[50].u)
+        ratio = rows[51].term / rows[50].term
         assert 0.5 - 1e-6 <= ratio <= 0.5 + 1e-6
 
 
@@ -303,7 +294,7 @@ def test_term_ratio_strictly_below_half_before_saturation():
     for x in (2.0, 10.0, 100.0):
         rows = trace(x, 41)
         for k in range(1, 41):
-            ratio = term(k + 1, rows[k + 1].u) / term(k, rows[k].u)
+            ratio = rows[k + 1].term / rows[k].term
             assert ratio < 0.5
 
 
@@ -380,10 +371,9 @@ def test_property_eval_log_deterministic(x):
         lambda: eval_log(10**400),
         lambda: PositiveInput(-(10**400)),
         lambda: trace(10**400, 2),
-        lambda: term(1, 10**400),
         lambda: decrement_step(10**400),
     ],
-    ids=["eval_log", "PositiveInput", "trace", "term", "decrement_step"],
+    ids=["eval_log", "PositiveInput", "trace", "decrement_step"],
 )
 def test_int_beyond_float_range_is_a_value_error(call):
     with pytest.raises(ValueError):
@@ -622,14 +612,9 @@ def test_log_approx_result_is_an_immutable_record():
         lambda: tail_ratio(1e308, 1),
         lambda: tail_ratio(8.988465674311582e307, 1),
         lambda: tail_ratio(DBL_MAX, 1),
-        lambda: term(1100, 0.5),
-        lambda: term(1, 1e200),
-        lambda: term(5, 1e160),
-        lambda: term(2000, 1e300),
     ],
     ids=[
         "tail_ratio_1e308", "tail_ratio_8p99e307", "tail_ratio_dbl_max",
-        "term_k1100", "term_1e200", "term_k5_1e160", "term_k2000_1e300",
     ],
 )
 def test_values_beyond_the_float_range_are_a_value_error(call):
