@@ -138,6 +138,12 @@ def test_check_amgm_golden():
     assert proc.stdout == (GOLDEN / "check_amgm_2_8.txt").read_bytes()
 
 
+def test_eval_golden_x4():
+    proc = run_cli("eval", "--x", "4")
+    assert proc.returncode == 0
+    assert proc.stdout == (GOLDEN / "eval_x4.txt").read_bytes()
+
+
 def test_check_concavity_at_point():
     proc = run_cli("check", "concavity", "--values", "1,4,0.5")
     assert proc.returncode == 0
