@@ -11,7 +11,6 @@ import argparse
 import math
 import os
 import sys
-import time
 
 from .inequalities import (
     DEFAULT_SEED,
@@ -41,7 +40,7 @@ TIMING_REPS = 1000
 TIMING_BATCHES = 5
 TIMING_NOTE = (
     f"# timing: perf_counter, one warm-up eval per point, median over {TIMING_BATCHES} batches "
-    f"of {TIMING_REPS} evaluations"
+    f"of {TIMING_REPS} evaluations, garbage collection off"
 )
 
 
@@ -58,8 +57,14 @@ def _fmt(value: float) -> str:
     return format(value, ".17g")
 
 
-def _fmt_bool(flag: bool) -> str:
-    return "true" if flag else "false"
+def _print_fields(record) -> None:
+    """One ``name = value`` line per field: bools as true/false, floats by _fmt."""
+    for name, value in zip(record._fields, record):
+        if isinstance(value, bool):
+            value = "true" if value else "false"
+        elif isinstance(value, float):
+            value = _fmt(value)
+        print(f"{name} = {value}")
 
 
 def _parse_values(text: str) -> list[float]:
@@ -85,24 +90,18 @@ def _parse_grid(text: str) -> list[float]:
             raise ValueError(f"--grid bounds must be positive and finite, got {bound!r}")
     if count < 1:
         raise ValueError(f"--grid count must be >= 1, got {count}")
-    if count == 1:
-        return [lo]
-    # Spaced in log(x), so hi / lo may lie past the float range.  log rounds by about
-    # |log x| * 2**-53, so on a narrower grid a point may fall past an endpoint: it is clamped.
+    # Spaced in log(x), so hi / lo may lie past the float range; a count of 1 keeps lo alone.  log rounds
+    # by about |log x| * 2**-53, so on a narrower grid a point may fall past an endpoint: it is clamped.
     a, b = math.log(lo), math.log(hi)
     least, most = min(lo, hi), max(lo, hi)
     inner = (math.exp(a + (b - a) * i / (count - 1)) for i in range(1, count - 1))
-    return [lo, *(min(max(x, least), most) for x in inner), hi]
+    return [lo, *(min(max(x, least), most) for x in inner), hi][:count]
 
 
 def _cmd_eval(args) -> int:
     config = EvalConfig(tol=args.tol, max_terms=args.max_terms)
     result = eval_log(args.x, config)
-    print(f"log_value = {_fmt(result.log_value)}")
-    print(f"residual = {_fmt(result.residual)}")
-    print(f"terms_used = {result.terms_used}")
-    print(f"tail_estimate = {_fmt(result.tail_estimate)}")
-    print(f"converged = {_fmt_bool(result.converged)}")
+    _print_fields(result)
     return EXIT_OK if result.converged else EXIT_NUMERIC
 
 
@@ -177,25 +176,17 @@ def _cmd_check_concavity(args) -> int:
 def _cmd_check_amgm(args) -> int:
     if args.values is not None:
         report = amgm_check(_parse_values(args.values))
-        print(f"arithmetic_mean = {_fmt(report.arithmetic_mean)}")
-        print(f"geometric_mean = {_fmt(report.geometric_mean)}")
-        print(f"holds = {_fmt_bool(report.holds)}")
-        print(f"equality = {_fmt_bool(report.equality)}")
+        _print_fields(report)
         if not report.holds:
             print("FAIL: geometric mean exceeds arithmetic mean beyond tolerance")
         return _verdict(not report.holds)
     failed = _sweeps_failed(sweep_amgm(seed=args.seed))
-    equality_failures = 0
-    for scale in CONSTANT_SCALES:
-        for length in CONSTANT_LENGTHS:
-            if not amgm_check([scale] * length).equality:
-                equality_failures += 1
-                if not failed:  # name the first failure only, and only after a passing sweep
-                    print(f"FAIL: constant vector [{_fmt(scale)}] * {length} not flagged as equality")
-                    failed = True
-    checked = len(CONSTANT_SCALES) * len(CONSTANT_LENGTHS)
-    print(f"constant_vectors: checked={checked} equality_failures={equality_failures}")
-    return _verdict(failed)
+    misses = [(s, n) for s in CONSTANT_SCALES for n in CONSTANT_LENGTHS if not amgm_check([s] * n).equality]
+    if misses and not failed:  # name the first miss only, and only after a passing sweep
+        scale, length = misses[0]
+        print(f"FAIL: constant vector [{_fmt(scale)}] * {length} not flagged as equality")
+    print(f"constant_vectors: checked={len(CONSTANT_SCALES) * len(CONSTANT_LENGTHS)} equality_failures={len(misses)}")
+    return _verdict(failed or bool(misses))
 
 
 def _cmd_check_integral(args) -> int:
@@ -215,19 +206,9 @@ def _cmd_check_integral(args) -> int:
     return _verdict(failed)
 
 
-def _batch_times(x: float, config: EvalConfig) -> list[float]:
-    """Seconds per eval in each of TIMING_BATCHES batches; the caller's eval of x is the warm-up."""
-    samples = []
-    for _ in range(TIMING_BATCHES):
-        start = time.perf_counter()
-        for _ in range(TIMING_REPS):
-            eval_log(x, config)
-        samples.append((time.perf_counter() - start) / TIMING_REPS)
-    return samples
-
-
 def _cmd_bench(args) -> int:
-    import statistics  # only bench needs it; the other commands start faster without it
+    import statistics  # only bench needs these; the other commands start faster without them
+    import timeit
 
     points = _parse_grid(args.grid)
     config = EvalConfig(tol=args.tol, max_terms=args.max_terms)
@@ -238,7 +219,10 @@ def _cmd_bench(args) -> int:
         ref = math.log(x)
         abs_error = abs(result.log_value - ref)
         rel_error = abs_error / max(1.0, abs(ref))
-        rows.append((x, result.terms_used, abs_error, rel_error, statistics.median(_batch_times(x, config))))
+        # The eval above is the warm-up; a string statement times eval_log with no extra call frame.
+        batches = timeit.repeat("eval_log(x, config)", number=TIMING_REPS, repeat=TIMING_BATCHES,
+                                globals={"eval_log": eval_log, "x": x, "config": config})
+        rows.append((x, result.terms_used, abs_error, rel_error, statistics.median(batches) / TIMING_REPS))
         all_converged = all_converged and result.converged
     max_abs = max(r[2] for r in rows)
     max_rel = max(r[3] for r in rows)

@@ -285,6 +285,11 @@ def test_bench_single_point_csv():
     point = lines[2].split(",")
     assert point[:5] == ["point", "1", "1", "0", "0"]
     assert lines[3].startswith("summary,")
+    # A count of 1 keeps lo alone, also where hi differs.
+    proc = run_cli("bench", "--grid", "3:5:1", "--format", "csv")
+    assert proc.returncode == 0
+    points = [line.split(",") for line in _stdout_text(proc).splitlines() if line.startswith("point,")]
+    assert len(points) == 1 and points[0][1] == "3"
 
 
 def test_bench_human_format():

@@ -1,7 +1,9 @@
 """Tests for the inequality checks and their randomized sweeps."""
 
+import ast
 import math
 import random
+import subprocess
 import sys
 
 import mpmath
@@ -29,6 +31,11 @@ DBL_MAX = sys.float_info.max
 # Where x/a or x/y rounds to 0 or a subnormal, the checks take the logs apart.
 TANGENT_CORNERS = [(1.0, 5e-324), (2.0, 5e-324), (1e300, 1e-300)]
 CONCAVITY_CORNERS = [(5e-324, DBL_MAX, 0.5), (1e-300, 1e300, 1e-10)]
+# Vectors that reach both ends of the double range, where v / AM rounds to 0 or a subnormal.
+AMGM_CORNERS = [
+    [1e-300, 1e300], [5e-324, DBL_MAX], [5e-324] * 3 + [DBL_MAX] * 2, [5e-324, 1.0], [DBL_MAX, 1.0, 5e-324],
+    [5e-324] * 15 + [DBL_MAX],
+]
 
 POSITIVE = st.floats(min_value=5e-324, max_value=DBL_MAX)
 # The second point within a factor 1/2..3/2 of the first, often within a few ulps.
@@ -231,6 +238,21 @@ def test_amgm_mixed_vector_near_dbl_max():
     expected_gm = math.exp((math.log(DBL_MAX) + math.log(1e308)) / 4)
     assert report.geometric_mean == pytest.approx(expected_gm, rel=1e-12)
     assert report.holds is True and report.equality is False
+
+
+def test_amgm_at_the_ends_of_the_range():
+    # In a child interpreter with a timeout, so a check that stops returning fails here instead of hanging.
+    code = (
+        "from logseries.inequalities import amgm_check\n"
+        f"print([(r.holds, r.geometric_mean) for r in map(amgm_check, {AMGM_CORNERS!r})])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    for values, (holds, gm) in zip(AMGM_CORNERS, ast.literal_eval(proc.stdout), strict=True):
+        assert holds is True
+        with mpmath.workprec(200):
+            exact = mpmath.exp(mpmath.fsum(mpmath.log(mpmath.mpf(v)) for v in values) / len(values))
+            assert abs(mpmath.mpf(gm) - exact) <= 1e-13 * exact, values
 
 
 def test_amgm_validation():

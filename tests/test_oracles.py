@@ -180,6 +180,6 @@ for argv in (["eval", "--x", "4"], ["trace", "--x", "3", "--n", "5"], ["check", 
              ["check", "integral", "--x", "2", "--panels", "128"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
-print(sorted({"dataclasses", "inspect", "statistics", "numpy"} & (set(sys.modules) - before)))
+print(sorted({"dataclasses", "inspect", "statistics", "timeit", "numpy"} & (set(sys.modules) - before)))
 """
     assert _run_python(code).stdout == "[]\n"
