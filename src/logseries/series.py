@@ -227,14 +227,12 @@ def _walk(x: float, n: int, tol: float = -1.0, us: "list | None" = None) -> tupl
     j = min(k, m), m the cutoff.  The tail is inf while a seeding step leaves
     u_k < -1/2.  With tol < 0 the sum may end once terms past the cutoff stop
     moving it, leaving k and the tail stale; :func:`partial_sum` reads neither.
-    Given a list ``us``, the pass is the chain alone: it appends u_0..u_j,
+    Given a list ``us``, the pass is the chain alone: it appends u_1..u_j,
     forms no term or sum and returns (j, j, u_j, 0.0, inf), j = min(n, m).
     """
     sqrt = math.sqrt
     r = x
     u = x - 1.0
-    if us is not None:
-        us.append(u)
     s = 0.0
     tail = math.inf
     factor = _TAIL_FACTOR
@@ -362,13 +360,10 @@ def eval_log(x: float, config: "EvalConfig | None" = None) -> LogApproxResult:
 def tail_ratio(x: float, k: int) -> float:
     """term_k * 2**k, which converges to log(x)**2 / 2 as k grows.
 
-    Undefined at x = 1, where every term vanishes; ValueError past the
-    float range (k = 1 near DBL_MAX).
+    ValueError past the float range (k = 1 near DBL_MAX).
     """
     xv = _positive_value(x)
     k = _int_at_least(k, "k", 1)
-    if xv == 1.0:
-        raise ValueError("tail_ratio is undefined at x = 1 (all terms are zero)")
     _, j, u, _, _ = _walk(xv, k, us=[])
     # Past m, 2**(2k-1) * u_k**2 = 2**(2m-1) * u_m**2.  u_j**2 is normal or inf, so the scaling is exact or inf.
     ratio = u * u * 2.0 ** (2 * j - 1)
@@ -386,7 +381,7 @@ def trace(x: float, n: int) -> list[TraceRow]:
     xv = _positive_value(x)
     n = _int_at_least(n, "n", 0)
     ldexp = math.ldexp
-    us = []
+    us = [xv - 1.0]
     _, m, _, _, _ = _walk(xv, n, us=us)
     rows = [TraceRow(0, us[0], 0.0, 0.0, us[0])]
     s = 0.0
