@@ -24,8 +24,10 @@ range), they take the log of each point, as written above.
 
 Each check returns a signed margin (or a report); the caller compares
 against a tolerance that covers evaluator rounding, not model error.
-The randomized sweeps draw log-uniformly from [1e-6, 100] with a fixed
-default seed so that reruns are reproducible bit for bit.
+The public checks validate their arguments, then run a private margin
+kernel.  The randomized sweeps draw log-uniformly from [1e-6, 100] with a
+fixed default seed, so that reruns are reproducible bit for bit, and pass
+their own draws, valid by construction, to the same kernels unchecked.
 """
 
 import math
@@ -104,8 +106,11 @@ def tangent_line_gap(x: float) -> float:
     agree to within a factor 2, so the subtraction is exact and the gap's
     error is that of log(x): a few ulps of |x - 1|.
     """
-    xv = _positive_value(x)
-    return xv - 1.0 - _log(xv)
+    return _gap(_positive_value(x))
+
+
+def _gap(x: float) -> float:
+    return x - 1.0 - _log(x)
 
 
 def tangent_at(a: float, x: float) -> float:
@@ -120,13 +125,17 @@ def tangent_at(a: float, x: float) -> float:
     """
     av = _positive_value(a)
     xv = _positive_value(x)
-    slope = (xv - av) / av
-    if slope == math.inf:
+    if (xv - av) / av == math.inf:
         raise ValueError(f"tangent_at({av!r}, {xv!r}) is beyond the float range")
-    ratio = xv / av
+    return _tangent_at(av, xv)
+
+
+def _tangent_at(a: float, x: float) -> float:
+    slope = (x - a) / a
+    ratio = x / a
     if _DBL_MIN <= ratio <= _DBL_MAX:
         return slope - _log(ratio)
-    return _log(av) + slope - _log(xv)
+    return _log(a) + slope - _log(x)
 
 
 def concavity_check(x: float, y: float, lam: float) -> float:
@@ -146,17 +155,21 @@ def concavity_check(x: float, y: float, lam: float) -> float:
     lam = _real(lam, "lam")
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lam must lie in [0, 1], got {lam!r}")
-    mix = lam * xv + (1.0 - lam) * yv
+    return _concavity(xv, yv, lam)
+
+
+def _concavity(x: float, y: float, lam: float) -> float:
+    mix = lam * x + (1.0 - lam) * y
     if mix < _DBL_MIN and 0.0 < lam < 1.0:
         # The mix underflowed, to 0 or to a subnormal short of low bits.  The
         # margin is unchanged by scaling x and y (both < 2**52 here) by 2**64.
-        xv, yv = xv * 2.0**64, yv * 2.0**64
-        mix = lam * xv + (1.0 - lam) * yv
-    ratio = xv / yv
+        x, y = x * 2.0**64, y * 2.0**64
+        mix = lam * x + (1.0 - lam) * y
+    ratio = x / y
     if _DBL_MIN <= ratio <= _DBL_MAX:
         # mix lies between x and y up to rounding, so mix/y is positive and finite too.
-        return _log(mix / yv) - lam * _log(ratio)
-    return _log(mix) - (lam * _log(xv) + (1.0 - lam) * _log(yv))
+        return _log(mix / y) - lam * _log(ratio)
+    return _log(mix) - (lam * _log(x) + (1.0 - lam) * _log(y))
 
 
 def amgm_check(values: Sequence[float]) -> AmgmReport:
@@ -166,8 +179,14 @@ def amgm_check(values: Sequence[float]) -> AmgmReport:
     vs = [_positive_value(v) for v in values]
     if not vs:
         raise ValueError("values must be nonempty")
+    am, gm = _means(vs)
+    slack = EQUALITY_TOL * am
+    return AmgmReport(am, gm, gm <= am + slack, abs(am - gm) <= slack)
+
+
+def _means(vs: Sequence[float]) -> "tuple[float, float]":
     n = len(vs)
-    mean_log = math.fsum(_log(v) for v in vs) / n
+    mean_log = math.fsum(map(_log, vs)) / n
     try:
         am = math.fsum(vs) / n
         gm = math.exp(mean_log)
@@ -179,13 +198,7 @@ def amgm_check(values: Sequence[float]) -> AmgmReport:
         am = min(top, math.fsum([math.ldexp(v, -e) for v in vs]) / n * 2.0**e)
         half = math.exp(mean_log / 2.0)
         gm = min(top, half * half)
-    slack = EQUALITY_TOL * am
-    return AmgmReport(
-        arithmetic_mean=am,
-        geometric_mean=gm,
-        holds=gm <= am + slack,
-        equality=abs(am - gm) <= slack,
-    )
+    return am, gm
 
 
 def _draw(rng: random.Random) -> float:
@@ -205,6 +218,7 @@ def _sweep(
     count: int,
     seed: int,
 ) -> SweepReport:
+    """Take ``count`` draws; ``margin`` receives each one unchecked, so draws must be valid by construction."""
     count = _int_at_least(count, "count", 1)
     rng = random.Random(_int_at_least(seed, "seed", -math.inf))
     min_margin = math.inf
@@ -229,7 +243,7 @@ def sweep_tangent_line(count: int = 10000, seed: int = DEFAULT_SEED) -> SweepRep
     return _sweep(
         "tangent_line_gap",
         lambda rng: (_draw(rng),),
-        tangent_line_gap,
+        _gap,
         -GAP_TOL,
         count,
         seed,
@@ -241,7 +255,7 @@ def sweep_tangent_at(count: int = 10000, seed: int = DEFAULT_SEED) -> SweepRepor
     return _sweep(
         "tangent_at",
         lambda rng: (_draw(rng), _draw(rng)),
-        tangent_at,
+        _tangent_at,
         -PAIR_TOL,
         count,
         seed,
@@ -253,7 +267,7 @@ def sweep_concavity(count: int = 10000, seed: int = DEFAULT_SEED) -> SweepReport
     return _sweep(
         "concavity_check",
         lambda rng: (_draw(rng), _draw(rng), rng.random()),
-        concavity_check,
+        _concavity,
         -PAIR_TOL,
         count,
         seed,
@@ -271,7 +285,7 @@ def sweep_amgm(count: int = 1000, seed: int = DEFAULT_SEED) -> SweepReport:
         return (tuple(_draw(rng) for _ in range(length)),)
 
     def margin(values: tuple) -> float:
-        report = amgm_check(values)
-        return (report.arithmetic_mean - report.geometric_mean) / report.arithmetic_mean
+        am, gm = _means(values)
+        return (am - gm) / am
 
     return _sweep("amgm_check", draw, margin, -EQUALITY_TOL, count, seed)

@@ -8,7 +8,7 @@ import sys
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from logseries.inequalities import (
     EQUALITY_TOL,
@@ -23,7 +23,7 @@ from logseries.inequalities import (
     tangent_at,
     tangent_line_gap,
 )
-from logseries.inequalities import _draw, _sweep
+from logseries.inequalities import _concavity, _draw, _gap, _means, _sweep, _tangent_at
 from logseries.series import _log
 
 DBL_MAX = sys.float_info.max
@@ -185,6 +185,40 @@ def test_property_concavity_accurate_to_the_ratio_log(pair, lam):
     assert concavity_error(x, y, lam) <= 1e-15
 
 
+def _same(a, b):
+    """Equal doubles with equal signs, so 0.0 and -0.0 differ."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def _with_corner_examples(test):
+    for a, x in TANGENT_CORNERS:
+        test = example((a, x), 0.5, [a, x])(test)
+    for x, y, lam in CONCAVITY_CORNERS:
+        test = example((x, y), lam, [x, y])(test)
+    for values in AMGM_CORNERS:
+        test = example((values[0], values[-1]), 0.5, values)(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None)
+@given(PAIRS, st.floats(min_value=0.0, max_value=1.0), st.lists(POSITIVE, min_size=1, max_size=16))
+@_with_corner_examples
+def test_property_kernels_equal_the_public_checks(pair, lam, values):
+    # The sweeps call the kernels on their own draws; off the sweeps' range they must still agree.
+    a, x = pair
+    assert _same(_gap(a), tangent_line_gap(a)) and _same(_gap(x), tangent_line_gap(x))
+    try:
+        expected = tangent_at(a, x)
+    except ValueError:
+        assert _tangent_at(a, x) == math.inf  # the overflow the public check refuses
+    else:
+        assert _same(_tangent_at(a, x), expected)
+    assert _same(_concavity(a, x, lam), concavity_check(a, x, lam))
+    report = amgm_check(values)
+    am, gm = _means(values)
+    assert _same(am, report.arithmetic_mean) and _same(gm, report.geometric_mean)
+
+
 def test_concavity_lambda_validation():
     for bad in (-0.1, 1.1, math.nan, 10**400):
         with pytest.raises(ValueError):
@@ -332,6 +366,10 @@ def test_checks_call_no_libm_log(monkeypatch):
         assert tangent_at(a, x) > 0.0
     for x, y, lam in CONCAVITY_CORNERS:
         assert concavity_check(x, y, lam) > 0.0
+    # The sweeps run the margin kernels, not the public checks.
+    for sweep in (sweep_tangent_line, sweep_tangent_at, sweep_concavity, sweep_amgm):
+        report = sweep(count=50)
+        assert report.violations == 0 and report.min_margin > report.threshold
 
 
 def test_sweeps_clean_at_modest_counts():
@@ -366,6 +404,37 @@ def test_sweep_counts_violations_as_a_recount_does():
     assert report.first_violation == ((below[0],), below[0] - 0.5)
     assert report.min_margin == min(values) - 0.5
     assert report.worst_input == (min(values),)
+
+
+def _recount(draw, check, threshold, count, seed):
+    """A sweep's (min_margin, worst_input, violations, first_violation), redrawn and checked through ``check``."""
+    rng = random.Random(seed)
+    draws = [draw(rng) for _ in range(count)]
+    margins = [check(*args) for args in draws]
+    worst = min(range(count), key=margins.__getitem__)
+    below = [i for i in range(count) if margins[i] < threshold]
+    first = (draws[below[0]], margins[below[0]]) if below else None
+    return margins[worst], draws[worst], len(below), first
+
+
+def _amgm_margin(values):
+    report = amgm_check(values)
+    return (report.arithmetic_mean - report.geometric_mean) / report.arithmetic_mean
+
+
+@pytest.mark.parametrize("seed", [0, 42, 1711])
+def test_sweeps_report_what_the_public_checks_compute(seed):
+    # The sweeps skip the argument checks on their own draws; the public checks must agree on each one.
+    cases = [
+        (sweep_tangent_line, lambda rng: (_draw(rng),), tangent_line_gap),
+        (sweep_tangent_at, lambda rng: (_draw(rng), _draw(rng)), tangent_at),
+        (sweep_concavity, lambda rng: (_draw(rng), _draw(rng), rng.random()), concavity_check),
+        (sweep_amgm, lambda rng: (tuple(_draw(rng) for _ in range(rng.randint(1, 16))),), _amgm_margin),
+    ]
+    for sweep, draw, check in cases:
+        report = sweep(count=2000, seed=seed)
+        recount = _recount(draw, check, report.threshold, 2000, seed)
+        assert (report.min_margin, report.worst_input, report.violations, report.first_violation) == recount
 
 
 def test_sweep_reports_are_reproducible():
