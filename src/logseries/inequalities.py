@@ -275,13 +275,14 @@ def sweep_concavity(count: int = 10000, seed: int = DEFAULT_SEED) -> SweepReport
 
 
 def sweep_amgm(count: int = 1000, seed: int = DEFAULT_SEED) -> SweepReport:
-    """Randomized AM-GM vectors (lengths 1..16); every report must hold.
+    """Randomized AM-GM vectors (lengths 2..16); every report must hold.
 
     The margin is (AM - GM) scaled by AM, so the threshold mirrors the
-    ``holds`` flag of :func:`amgm_check`.
+    ``holds`` flag of :func:`amgm_check`.  Length 1 is left out: AM = GM
+    exactly there, so it would pin the minimum margin at 0.
     """
     def draw(rng: random.Random) -> tuple:
-        length = rng.randint(1, 16)
+        length = rng.randint(2, 16)
         return (tuple(_draw(rng) for _ in range(length)),)
 
     def margin(values: tuple) -> float:

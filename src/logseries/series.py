@@ -28,15 +28,19 @@ subtraction r - 1 is exact (Sterbenz) and the recurrence takes over.
 Every public function here validates x once and is then a view over one
 pass of :func:`_walk`, which carries u_k, the term 2**(k-1) * u_k**2 (the
 power of two kept by doubling, so scaling by it is exact), the running sum
-S_k and the stopping test together.  The views that read only u (the
-quotient, the tail ratio and :func:`trace`, which sums its rows itself)
-run the pass in its chain-only mode, which forms no term or sum.  The
-chain itself is read from trace rows: ``[(r.k, r.u) for r in trace(x, n)]``
-gives u_0..u_n.  The chain ends at the first step m whose denominator
-sqrt(1 + u_m) + 1 rounds to exactly 2, once |u_m| is below about 2**-52.
-u only shrinks toward 0 from there, and rounding is monotone, so every later
-denominator is 2 as well and every later step is an exact halving.  The
-rest of the chain is therefore scaling by powers of two:
+S_k and the stopping test together, and returns (k, D_k, S_k, 2 * term_k).
+D_k is formed once, in the pass, and so is the closure S_k = (x - 1) - D_k
+of a sum past the float range; the views only read the tuple.  The tail
+ratio needs D_k alone, since 2**k * term_k = 2**k * 2**(k-1) * u_k**2 =
+D_k**2 / 2.  The quotient, the tail ratio and :func:`trace` (which sums
+its rows itself) run the pass in its chain-only mode, which forms no term
+or sum.  The chain itself is read from trace rows:
+``[(r.k, r.u) for r in trace(x, n)]`` gives u_0..u_n.  The chain ends at
+the first step m whose denominator sqrt(1 + u_m) + 1 rounds to exactly 2,
+once |u_m| is below about 2**-52.  u only shrinks toward 0 from there, and
+rounding is monotone, so every later denominator is 2 as well and every
+later step is an exact halving.  The rest of the chain is therefore
+scaling by powers of two:
 
     u_k = u_m * 2**(m-k),  term_k = u_m**2 * 2**(2m-k-1),  D_k = 2**m * u_m
 
@@ -221,16 +225,19 @@ def decrement_step(u: float) -> float:
 
 
 def _walk(x: float, n: int, tol: float = -1.0, us: "list | None" = None) -> tuple:
-    """One pass over terms 1..n at x (not checked): (k, j, u_j, S_k, 2 * term_k).
+    """One pass over terms 1..n at x (not checked): (k, D_k, S_k, 2 * term_k).
 
-    The pass stops at the first k with tail 2 * term_k <= tol or at n;
-    j = min(k, m), m the cutoff.  The tail is inf while a seeding step leaves
-    u_k < -1/2.  With tol < 0 the sum may end once terms past the cutoff stop
-    moving it, leaving k and the tail stale; :func:`partial_sum` reads neither.
-    Given a list ``us``, the pass is the chain alone: it appends u_1..u_j,
-    forms no term or sum and returns (j, j, u_j, 0.0, inf), j = min(n, m).
+    The pass stops at the first k with tail 2 * term_k <= tol or at n.  It
+    forms D_k = 2**j * u_j once, j = min(k, m), m the cutoff, and closes an
+    S_k past the float range once, as (x - 1) - D_k.  The tail is inf while
+    a seeding step leaves u_k < -1/2.  With tol < 0 the sum may end once
+    terms past the cutoff stop moving it, leaving k and the tail stale;
+    :func:`partial_sum` reads neither.  Given a list ``us``, the pass is the
+    chain alone: it appends u_1..u_j, forms no term or sum and returns
+    (j, D_j, 0.0, inf), j = min(n, m).
     """
     sqrt = math.sqrt
+    ldexp = math.ldexp
     r = x
     u = x - 1.0
     s = 0.0
@@ -248,7 +255,7 @@ def _walk(x: float, n: int, tol: float = -1.0, us: "list | None" = None) -> tupl
             if d == 2.0:
                 j = k - 1
                 if us is not None:
-                    return j, j, u, s, tail
+                    return j, ldexp(u, j), s, tail
                 break
             u /= d
         if us is not None:
@@ -259,21 +266,23 @@ def _walk(x: float, n: int, tol: float = -1.0, us: "list | None" = None) -> tupl
         s += t
         tail = factor * t
         if tail <= tol:
-            return k, k, u, s, tail
+            j = k
+            break
     else:
         j = k
-    # Past the cutoff u_k = ldexp(u_j, j - k), so term_k = ldexp(u_j**2, 2j - k - 1).
-    ldexp = math.ldexp
-    u2 = u * u
-    for k in range(j + 1, n + 1):
-        t = ldexp(u2, 2 * j - k - 1)
-        if tol < 0.0 and s + t == s:
-            break  # smaller terms cannot move s either (rounding is monotone)
-        s += t
-        tail = factor * t  # _TAIL_FACTOR: the step that reached the cutoff left u_j >= -1/2
-        if tail <= tol:
-            break
-    return k, j, u, s, tail
+    if tail > tol:
+        # Past the cutoff u_k = ldexp(u_j, j - k), so term_k = ldexp(u_j**2, 2j - k - 1).
+        u2 = u * u
+        for k in range(j + 1, n + 1):
+            t = ldexp(u2, 2 * j - k - 1)
+            if tol < 0.0 and s + t == s:
+                break  # smaller terms cannot move s either (rounding is monotone)
+            s += t
+            tail = factor * t  # _TAIL_FACTOR: the step that reached the cutoff left u_j >= -1/2
+            if tail <= tol:
+                break
+    d = ldexp(u, j)  # past m, u_k = ldexp(u_m, m - k) and so D_k = D_m
+    return k, d, s if math.isfinite(s) else (x - 1.0) - d, tail
 
 
 # log(2) split as in fdlibm: _LN2_HI has its low 21 bits zero, so e * _LN2_HI
@@ -313,26 +322,18 @@ def _log(x: float) -> float:
     return e * _LN2_HI + (e * _LN2_LO + p * scale)
 
 
-def _closed_sum(x: float, d: float) -> float:
-    """S = (x - 1) - D, for S past the float range: x - 1 dwarfs D = log(x) there, so nothing cancels."""
-    return (x - 1.0) - d
-
-
 def partial_sum(x: float, n: int) -> float:
     """S_n = sum of the first n terms; approximates x - 1 - log(x).
 
     Nonnegative and nondecreasing in n.  S_0 = 0 by the empty-sum
     convention.
     """
-    xv = _positive_value(x)
-    _, j, u, s, _ = _walk(xv, _int_at_least(n, "n", 0))
-    return s if math.isfinite(s) else _closed_sum(xv, math.ldexp(u, j))
+    return _walk(_positive_value(x), _int_at_least(n, "n", 0))[2]
 
 
 def difference_quotient(x: float, n: int) -> float:
     """D_n = 2**n * u_n, the difference-quotient approximation to log(x)."""
-    _, j, u, _, _ = _walk(_positive_value(x), _int_at_least(n, "n", 0), us=[])
-    return math.ldexp(u, j)  # past m, u_n = ldexp(u_m, m - n) and so D_n = D_m
+    return _walk(_positive_value(x), _int_at_least(n, "n", 0), us=[])[1]
 
 
 def eval_log(x: float, config: "EvalConfig | None" = None) -> LogApproxResult:
@@ -350,23 +351,19 @@ def eval_log(x: float, config: "EvalConfig | None" = None) -> LogApproxResult:
         config = _DEFAULT_CONFIG
     elif not isinstance(config, EvalConfig):
         raise TypeError(f"config must be an EvalConfig or None, got {type(config).__name__}")
-    n, j, u, s, tail = _walk(xv, config.max_terms, config.tol)
-    log_value = math.ldexp(u, j)
-    if not math.isfinite(s):
-        s = _closed_sum(xv, log_value)
-    return LogApproxResult(log_value, s, n, tail, tail <= config.tol)
+    k, d, s, tail = _walk(xv, config.max_terms, config.tol)
+    return LogApproxResult(d, s, k, tail, tail <= config.tol)
 
 
 def tail_ratio(x: float, k: int) -> float:
-    """term_k * 2**k, which converges to log(x)**2 / 2 as k grows.
+    """term_k * 2**k = D_k**2 / 2, which converges to log(x)**2 / 2 as k grows.
 
     ValueError past the float range (k = 1 near DBL_MAX).
     """
     xv = _positive_value(x)
     k = _int_at_least(k, "k", 1)
-    _, j, u, _, _ = _walk(xv, k, us=[])
-    # Past m, 2**(2k-1) * u_k**2 = 2**(2m-1) * u_m**2.  u_j**2 is normal or inf, so the scaling is exact or inf.
-    ratio = u * u * 2.0 ** (2 * j - 1)
+    d = _walk(xv, k, us=[])[1]
+    ratio = d * 0.5 * d  # halving D_k is exact, so this is D_k**2 / 2 rounded once
     if ratio == math.inf:
         raise ValueError(f"tail_ratio({xv!r}, {k}) is beyond the float range")
     return ratio
@@ -382,7 +379,7 @@ def trace(x: float, n: int) -> list[TraceRow]:
     n = _int_at_least(n, "n", 0)
     ldexp = math.ldexp
     us = [xv - 1.0]
-    _, m, _, _, _ = _walk(xv, n, us=us)
+    m = _walk(xv, n, us=us)[0]
     rows = [TraceRow(0, us[0], 0.0, 0.0, us[0])]
     s = 0.0
     for k in range(1, n + 1):
@@ -392,5 +389,6 @@ def trace(x: float, n: int) -> list[TraceRow]:
         s += t
         rows.append(TraceRow(k, ldexp(u, j - k), t, s, ldexp(u, j)))
     if not math.isfinite(s):
-        rows = [TraceRow(k, u, t, _closed_sum(xv, d), d) for k, u, t, _, d in rows]
+        # Past the float range x - 1 dwarfs D_k = log(x), so S_k = (x - 1) - D_k cancels nothing.
+        rows = [TraceRow(k, u, t, (xv - 1.0) - d, d) for k, u, t, _, d in rows]
     return rows

@@ -429,7 +429,7 @@ def test_sweeps_report_what_the_public_checks_compute(seed):
         (sweep_tangent_line, lambda rng: (_draw(rng),), tangent_line_gap),
         (sweep_tangent_at, lambda rng: (_draw(rng), _draw(rng)), tangent_at),
         (sweep_concavity, lambda rng: (_draw(rng), _draw(rng), rng.random()), concavity_check),
-        (sweep_amgm, lambda rng: (tuple(_draw(rng) for _ in range(rng.randint(1, 16))),), _amgm_margin),
+        (sweep_amgm, lambda rng: (tuple(_draw(rng) for _ in range(rng.randint(2, 16))),), _amgm_margin),
     ]
     for sweep, draw, check in cases:
         report = sweep(count=2000, seed=seed)
@@ -450,6 +450,15 @@ def test_sweep_amgm_margin_matches_holds_threshold():
     report = sweep_amgm(count=100, seed=11)
     assert report.threshold == -EQUALITY_TOL
     assert report.violations == 0
+
+
+@pytest.mark.parametrize("seed", [0, 42, 1711])
+def test_sweep_amgm_worst_case_is_a_vector_with_two_or_more_values(seed):
+    # At length 1 AM = GM exactly, so one such draw would pin the reported minimum at 0.
+    report = sweep_amgm(seed=seed)
+    (values,) = report.worst_input
+    assert len(values) >= 2
+    assert report.min_margin > 0.0
 
 
 @settings(max_examples=100, deadline=None)

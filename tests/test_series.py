@@ -365,6 +365,40 @@ def test_property_difference_quotient_is_concave(x, y, lam, n):
     assert d_mix >= wx * d_x + wy * d_y - slack, (x, y, lam, n)
 
 
+def _close_vector(base_and_steps):
+    base, steps = base_and_steps
+    return [base + step * math.ulp(base) for step in steps]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.floats(min_value=0.0, max_value=DBL_MAX / 16, exclude_min=True), min_size=2, max_size=16),
+        st.tuples(
+            st.floats(min_value=1e-300, max_value=DBL_MAX / 16),
+            st.lists(st.integers(-1000, 1000), min_size=2, max_size=16),
+        ).map(_close_vector),
+    ),
+    st.sampled_from((1, 2, 4, 8, 16, 32, 60)),
+)
+@example([0.99999999999999, 1.00000000000002], 1)  # without the shift: a margin of -2.5e13 eps of the scale
+@example([5e-324, 1e-323, 1e-323], 60)  # the rounded mean is subnormal
+def test_property_difference_quotient_power_mean(values, n):
+    # Jensen for D_n over a vector, the power-mean inequality M_(2^-n) <= AM: D_n(mean) >= mean of the D_n.
+    # The mean a is rounded.  D_n rises with slope t**(2**-n - 1), which falls in t, so D_n at the exact
+    # mean is at most D_n(a) + shift, shift = |a - mean| * min(a, mean)**(2**-n - 1); the shift takes
+    # a's own rounding out of the margin.  The slack is the D_n's rounding, as for two points.
+    size = len(values)
+    a = math.fsum(values) / size
+    mean = sum(map(Fraction, values)) / size
+    low = min(Fraction(a), mean)
+    shift = float(abs(Fraction(a) - mean) / low) * float(low) ** 2.0**-n
+    d_a = difference_quotient(a, n)
+    ds = [difference_quotient(v, n) for v in values]
+    slack = (n + 4) * 2.0**-52 * (abs(d_a) + math.fsum(map(abs, ds)) / size)
+    assert d_a - math.fsum(ds) / size + shift >= -slack, (values, n)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.floats(min_value=0.0, max_value=DBL_MAX, exclude_min=True))
 def test_property_eval_log_accuracy(x):
