@@ -4,8 +4,9 @@ Each log(x) here is ``series._log``: x = m * 2**e with m in
 [sqrt(1/2), sqrt(2)), and log(m) is the chain u_k = m**(2**-k) - 1 with its
 tail closed, log(m) = 2**n * log1p(u_n) at the first |u_n| <= 2**-3 (at most
 2 steps), not the summed series of :func:`~logseries.series.eval_log`.  It
-is accurate relative to log(x) (within 4.2e-16 against mpmath), also next
-to 1, where the summed series is accurate only in absolute terms.  That
+is accurate relative to log(x) (at worst 7.1e-16 against mpmath, measured
+on 8.6 million points where its chain takes steps), also next to 1, where
+the summed series is accurate only in absolute terms.  That
 makes these facts checkable with tiny, explainable slack rather than by
 trusting libm:
 

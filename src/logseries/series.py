@@ -29,12 +29,13 @@ Every public function here validates x once and is then a view over one
 pass of :func:`_walk`, which carries u_k, the term 2**(k-1) * u_k**2 (the
 power of two kept by doubling, so scaling by it is exact), the running sum
 S_k and the stopping test together, and returns (k, D_k, S_k, 2 * term_k).
-D_k is formed once, in the pass, and so is the closure S_k = (x - 1) - D_k
-of a sum past the float range; the views only read the tuple.  The tail
-ratio needs D_k alone, since 2**k * term_k = 2**k * 2**(k-1) * u_k**2 =
-D_k**2 / 2.  The quotient, the tail ratio and :func:`trace` (which sums
-its rows itself) run the pass in its chain-only mode, which forms no term
-or sum.  The chain itself is read from trace rows:
+Its chain loop has one exit for the tolerance, the cutoff and n alike, and
+the pass has one return: D_k is formed there once, and so is the closure
+S_k = (x - 1) - D_k of a sum past the float range; the views only read the
+tuple.  The tail ratio needs D_k alone, since 2**k * term_k =
+2**k * 2**(k-1) * u_k**2 = D_k**2 / 2.  The quotient, the tail ratio and
+:func:`trace` (which sums its rows itself) run the pass in its chain-only
+mode, which forms no term or sum.  The chain itself is read from trace rows:
 ``[(r.k, r.u) for r in trace(x, n)]`` gives u_0..u_n.  The chain ends at
 the first step m whose denominator sqrt(1 + u_m) + 1 rounds to exactly 2,
 once |u_m| is below about 2**-52.  u only shrinks toward 0 from there, and
@@ -56,11 +57,13 @@ closing the chain's tail instead of summing it (Briggs' repeated-root
 method): log(x) = 2**n * log1p(u_n) holds exactly for every n.  It first
 splits x = m * 2**e with m in [sqrt(1/2), sqrt(2)), exactly, and takes
 e * log(2) from a two-part constant.  The chain on m runs to the first
-|u_n| <= 2**-3, which is at most 2 steps, and log1p(u_n) is closed as
-2 * atanh(u_n / (2 + u_n)) to degree 13, with no libm log.  The result is
-accurate relative to log(x) (within 4.2e-16 against mpmath at 200 bits
-over (0, DBL_MAX]), also next to 1.  The public functions stay the
-paper's series: :func:`eval_log` stops on the absolute test
+|u_n| <= 2**-3, which is at most 2 steps (the code takes no more), and
+log1p(u_n) is closed as 2 * atanh(u_n / (2 + u_n)) to degree 13, with no
+libm log.  The result is accurate relative to log(x), also next to 1: the
+worst measured against mpmath at 200 bits is 7.1e-16 (5.2 ulp), on 8.6
+million m in [sqrt(1/2), 0.875) and (1.125, sqrt(2)) at e = 0, where the
+chain takes its steps; it is not a proved bound.  The public functions
+stay the paper's series: :func:`eval_log` stops on the absolute test
 2 * term_n <= tol, so near 1 its log_value is accurate only in absolute
 terms.
 """
@@ -227,14 +230,14 @@ def decrement_step(u: float) -> float:
 def _walk(x: float, n: int, tol: float = -1.0, us: "list | None" = None) -> tuple:
     """One pass over terms 1..n at x (not checked): (k, D_k, S_k, 2 * term_k).
 
-    The pass stops at the first k with tail 2 * term_k <= tol or at n.  It
-    forms D_k = 2**j * u_j once, j = min(k, m), m the cutoff, and closes an
-    S_k past the float range once, as (x - 1) - D_k.  The tail is inf while
-    a seeding step leaves u_k < -1/2.  With tol < 0 the sum may end once
-    terms past the cutoff stop moving it, leaving k and the tail stale;
-    :func:`partial_sum` reads neither.  Given a list ``us``, the pass is the
-    chain alone: it appends u_1..u_j, forms no term or sum and returns
-    (j, D_j, 0.0, inf), j = min(n, m).
+    The chain loop has one exit: the first k with tail 2 * term_k <= tol,
+    the cutoff m (k stepped back to m) or n; then j = k, and while the tail
+    exceeds tol, terms j+1..n scale u_j.  D_k = 2**j * u_j and the closure
+    (x - 1) - D_k of an S_k past the float range are formed once, at the one
+    return.  The tail is inf while a seeding step leaves u_k < -1/2.  With
+    tol < 0 the sum may end once later terms stop moving it, leaving k and
+    the tail stale; :func:`partial_sum` reads neither.  Given a list ``us``,
+    the chain alone: append u_1..u_j, no term or sum, return (j, D_j, 0.0, inf).
     """
     sqrt = math.sqrt
     ldexp = math.ldexp
@@ -253,9 +256,7 @@ def _walk(x: float, n: int, tol: float = -1.0, us: "list | None" = None) -> tupl
         else:
             d = sqrt(1.0 + u) + 1.0
             if d == 2.0:
-                j = k - 1
-                if us is not None:
-                    return j, ldexp(u, j), s, tail
+                k -= 1  # the cutoff m = k - 1: step k and every later one is an exact halving
                 break
             u /= d
         if us is not None:
@@ -266,11 +267,9 @@ def _walk(x: float, n: int, tol: float = -1.0, us: "list | None" = None) -> tupl
         s += t
         tail = factor * t
         if tail <= tol:
-            j = k
             break
-    else:
-        j = k
-    if tail > tol:
+    j = k
+    if us is None and tail > tol:
         # Past the cutoff u_k = ldexp(u_j, j - k), so term_k = ldexp(u_j**2, 2j - k - 1).
         u2 = u * u
         for k in range(j + 1, n + 1):
@@ -297,25 +296,30 @@ _sqrt = math.sqrt
 def _log(x: float) -> float:
     """log(x) for a checked x = m * 2**e: e * log(2), plus log(m) from at most two chain steps and an atanh tail.
 
-    x must be a positive double, subnormals and DBL_MAX included; 0.0
-    never returns, since u = -1 is a fixed point of the step.  x = m * 2**e
-    with m in [sqrt(1/2), sqrt(2)) exactly, and u = m - 1 is exact
-    (Sterbenz).  At most two steps of the chain take u from [-0.293, 0.414)
-    to |u_n| <= 1/8, and none next to 1.  The tail is
-    log(m) = 2**n * log1p(u_n) = 2**(n+1) * atanh(z) with z = u_n / (2 + u_n),
-    |z| <= 1/15, summed to z**13 / 13; the rest is at most
-    2 * |z|**15 / (15 * (1 - z*z)) < 2**-58 * |2z|.  No libm log is used.
-    Worst relative error against mpmath at 200 bits: 4.2e-16.
+    x must be a positive double, subnormals and DBL_MAX included; at 0.0,
+    where u = -1 is a fixed point of the step, the bounded chain returns a
+    value without meaning.  x = m * 2**e with m in [sqrt(1/2), sqrt(2))
+    exactly, and u = m - 1 is exact (Sterbenz).  At most two steps of the
+    chain take u from [-0.293, 0.414) to |u_n| <= 1/8, and none next to 1.
+    The tail is log(m) = 2**n * log1p(u_n) = 2**(n+1) * atanh(z) with
+    z = u_n / (2 + u_n), |z| <= 1/15, summed to z**13 / 13; the rest is at
+    most 2 * |z|**15 / (15 * (1 - z*z)) < 2**-58 * |2z|.  No libm log is used.
+    Worst relative error measured against mpmath at 200 bits: 7.06e-16 at
+    x = 1.2903512157716528, and 5.24 ulp at x = 1.2758107251945436, on 8.6
+    million m in the two bands where the chain takes steps, at e = 0.
     """
     m, e = _frexp(x)
     if m < _SQRT_HALF:
         m += m
         e -= 1
     u = m - 1.0
-    scale = 2.0  # 2**(n+1) after n steps, by doubling; p * scale is exact, p being 0 or normal
-    while u > 0.125 or u < -0.125:
+    scale = 2.0  # 2**(n+1) after n steps; p * scale is exact, p being 0 or normal
+    if u > 0.125 or u < -0.125:  # two steps at most, also at x = 0.0 where u = -1 is a fixed point
         u /= _sqrt(1.0 + u) + 1.0
-        scale += scale
+        scale = 4.0
+        if u > 0.125 or u < -0.125:
+            u /= _sqrt(1.0 + u) + 1.0
+            scale = 8.0
     z = u / (2.0 + u)
     zz = z * z
     p = z + z * zz * (1.0 / 3.0 + zz * (0.2 + zz * (1.0 / 7.0 + zz * (1.0 / 9.0 + zz * (1.0 / 11.0 + zz / 13.0)))))

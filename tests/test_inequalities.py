@@ -169,6 +169,9 @@ def test_concavity_at_subnormal_inputs():
     assert concavity_check(5e-324, 1.5e-323, 0.25) == pytest.approx(expected, abs=1e-11)
     # At lam = 0 the mix is y exactly, and x is not scaled (it may be huge).
     assert concavity_check(sys.float_info.max, 5e-324, 0.0) == 0.0
+    # (1 - lam) * y rounds back to y here, so at any lam > 0 the mix is rescaled: unscaled,
+    # the margin would read 7.61e-10 where the exact one is 6.61e-10.
+    assert concavity_error(5e-324, 1e-320, 1e-10) <= 1e-15
 
 
 @pytest.mark.parametrize("x, y, lam", CONCAVITY_CORNERS)
@@ -220,7 +223,7 @@ def test_property_kernels_equal_the_public_checks(pair, lam, values):
 
 
 def test_concavity_lambda_validation():
-    for bad in (-0.1, 1.1, math.nan, 10**400):
+    for bad in (-0.1, 1.1, math.nextafter(1.0, 2.0), -5e-324, math.nan, 10**400):
         with pytest.raises(ValueError):
             concavity_check(2.0, 3.0, bad)
     with pytest.raises(TypeError):
@@ -345,6 +348,7 @@ def test_sweep_draws_are_log_uniform_draws(seed):
 
 def test_default_sweeps_keep_their_worst_inputs():
     line, at, concavity, amgm = (sweep() for sweep in (sweep_tangent_line, sweep_tangent_at, sweep_concavity, sweep_amgm))
+    assert (line.checked, at.checked, concavity.checked, amgm.checked) == (10000, 10000, 10000, 1000)
     assert (line.violations, at.violations, concavity.violations, amgm.violations) == (0, 0, 0, 0)
     assert line.worst_input == (1.0034139842672314,)
     assert at.worst_input == (0.5123610433025396, 0.5125998339427719)
@@ -377,6 +381,13 @@ def test_sweeps_clean_at_modest_counts():
     assert sweep_tangent_at(count=200, seed=7).violations == 0
     assert sweep_concavity(count=200, seed=7).violations == 0
     assert sweep_amgm(count=100, seed=7).violations == 0
+
+
+def test_sweeps_run_at_their_floor_count():
+    for sweep in (sweep_tangent_line, sweep_tangent_at, sweep_concavity, sweep_amgm):
+        report = sweep(count=1)
+        assert report.checked == 1 and report.worst_input and report.violations == 0
+        assert report.min_margin > report.threshold
 
 
 def test_sweep_count_below_one_is_refused():

@@ -101,6 +101,7 @@ def test_replace_validates_like_construction():
 # ValueError naming the field.
 REAL_ARGUMENTS = [
     ("eval_log.x", lambda v: eval_log(v), 2.0, None),
+    ("eval_log.x far below 1", lambda v: eval_log(v), 2.0**-40, None),  # below 2**-30; exact as float32 and Decimal too
     ("partial_sum.x", lambda v: partial_sum(v, 5), 2.0, None),
     ("difference_quotient.x", lambda v: difference_quotient(v, 5), 2.0, None),
     ("tail_ratio.x", lambda v: tail_ratio(v, 5), 2.0, None),

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -383,14 +384,16 @@ def _close_vector(base_and_steps):
 )
 @example([0.99999999999999, 1.00000000000002], 1)  # without the shift: a margin of -2.5e13 eps of the scale
 @example([5e-324, 1e-323, 1e-323], 60)  # the rounded mean is subnormal
+@example(_close_vector((1.1235582092889473e307, [0] * 15 + [7])), 1)  # the sum passes DBL_MAX
 def test_property_difference_quotient_power_mean(values, n):
     # Jensen for D_n over a vector, the power-mean inequality M_(2^-n) <= AM: D_n(mean) >= mean of the D_n.
-    # The mean a is rounded.  D_n rises with slope t**(2**-n - 1), which falls in t, so D_n at the exact
+    # The mean a is the exact mean rounded once, which cannot overflow: a sum of 16 values near
+    # DBL_MAX / 16 can.  D_n rises with slope t**(2**-n - 1), which falls in t, so D_n at the exact
     # mean is at most D_n(a) + shift, shift = |a - mean| * min(a, mean)**(2**-n - 1); the shift takes
     # a's own rounding out of the margin.  The slack is the D_n's rounding, as for two points.
     size = len(values)
-    a = math.fsum(values) / size
     mean = sum(map(Fraction, values)) / size
+    a = float(mean)
     low = min(Fraction(a), mean)
     shift = float(abs(Fraction(a) - mean) / low) * float(low) ** 2.0**-n
     d_a = difference_quotient(a, n)
@@ -619,15 +622,31 @@ def test_property_tail_estimate_bounds_the_exact_tail(x, tol, max_terms):
     assert mpmath.mpf(result.tail_estimate) >= exact_tail
 
 
-@settings(max_examples=300, deadline=None)
+# Where _log's chain takes its steps: m in [sqrt(1/2), 0.875) or (1.125, sqrt(2)), mostly at e = 0.
+CHAIN_BANDS = st.tuples(
+    st.one_of(
+        st.floats(min_value=SQRT_HALF, max_value=0.875, exclude_max=True),
+        st.floats(min_value=1.125, max_value=2.0 * SQRT_HALF, exclude_min=True, exclude_max=True),
+    ),
+    st.one_of(st.just(0), st.sampled_from((-1074, -1022, -60, -1, 1, 60, 1023))),
+).map(lambda me: math.ldexp(*me))
+
+
+@settings(max_examples=500, deadline=None)
 @given(
     st.one_of(
         st.floats(min_value=0.0, max_value=DBL_MAX, exclude_min=True),
         st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(min_value=1.0, max_value=15.0)).map(
             lambda se: 1.0 + se[0] * 10.0**-se[1]
         ),
+        CHAIN_BANDS,
     )
 )
+@example(0.875)  # |z| = 1/15, its largest
+@example(1.2903512157716528)  # the worst relative error measured, 7.06e-16
+@example(1.2758107251945436)  # the worst in ulps measured, 5.24
+@example(1.3245061035020365)  # the worst relative error and ulps on 50,000 points per band
+@example(1.2782093422196905)
 @example(5e-324)
 @example(DBL_MAX)
 @example(1.0)
@@ -645,6 +664,13 @@ def test_property_closed_log_relative_accuracy(x):
     with mpmath.workprec(200):
         ref = mpmath.log(mpmath.mpf(x))
         assert abs((mpmath.mpf(_log(x)) - ref) / ref) <= 1e-15, x
+
+
+def test_closed_log_chain_is_bounded_at_zero():
+    # 0.0 is outside _log's domain, and u = -1 is a fixed point of the step: an unbounded chain
+    # would never end there.  A child process, so that a hang fails the test instead of the run.
+    code = "from logseries.series import _log; _log(0.0)"
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=30)
 
 
 def test_closed_log_at_every_power_of_two():
