@@ -6,11 +6,14 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from collections import Counter
+from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from logseries import oracles
 from logseries.oracles import MAX_PANELS, QuadratureConfig, double_integral_residual
 from logseries.series import eval_log
 
@@ -139,6 +142,132 @@ def test_beyond_the_float_range_is_a_value_error():
             with pytest.raises(ValueError, match=re.escape(repr(x))):
                 double_integral_residual(x)
         assert math.isfinite(double_integral_residual(1e300))
+
+
+def test_largest_finite_case_near_dbl_max():
+    # Near DBL_MAX the sum rounds past it; this is the last finite x at the default 1024 panels.
+    x = 1.7976931348618934e308
+    assert math.isfinite(double_integral_residual(x))
+    with pytest.raises(ValueError, match=re.escape(repr(math.nextafter(x, math.inf)))):
+        double_integral_residual(math.nextafter(x, math.inf))
+
+
+def test_integrand_limit_is_sharp():
+    # 1/(4x) overflows from x = 2**-1026 down; the next double up is finite at every panel count.
+    # At these x the nodes of the last piece stay finite, so only the peak on a full piece overflows.
+    for panels in (2, 64, 1024, MAX_PANELS):
+        for x in (2.0**-1026, 1.20308070511671e-309, 6.64367087557755e-310):
+            with pytest.raises(ValueError, match=re.escape(repr(x))):
+                double_integral_residual(x, QuadratureConfig(panels))
+        assert math.isfinite(double_integral_residual(math.nextafter(2.0**-1026, 1.0), QuadratureConfig(panels)))
+
+
+def _old_piece(a: float, b: float, d: float, n: int) -> float:
+    """Composite Simpson of (x - s)/s**2 on [a, b] in n panels, given d = x - b, node by node."""
+    h = (b - a) / n
+    w1 = h / 3.0
+    w2 = w1 + w1
+    w4 = w2 + w2
+    acc = d / b / b * w1 - (d + (b - a)) / a / a * w1
+    for j in range(1, n, 2):
+        t = j * h
+        u = t + h
+        s = b - t
+        r = b - u
+        acc += (d + t) / s / s * w4 + (d + u) / r / r * w2
+    return acc
+
+
+def _piece_by_piece(x: float, n: int) -> float:
+    """The oracle as it was before the reference sums: every piece of the graded mesh node by node."""
+    result = 0.0
+    a = 1.0
+    while a != x and math.isfinite(result):
+        b = min(a + a, x) if x > a else max(0.5 * a, x)
+        result += _old_piece(a, b, x - b, n)
+        a = b
+    return result
+
+
+EVEN_PANELS = st.integers(1, MAX_PANELS // 2).map(lambda k: 2 * k)
+NEAR_ONE = (0.5, math.nextafter(0.5, 1.0), 0.75, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), 1.5,
+            math.nextafter(2.0, 0.0), 2.0)
+
+
+def test_one_piece_is_bit_identical_at_every_panel_count_to_256():
+    # On [1/2, 2] the mesh is one piece and no reference sum is used: the arithmetic is unchanged.
+    for x in NEAR_ONE:
+        for panels in range(2, 258, 2):
+            assert double_integral_residual(x, QuadratureConfig(panels)) == _piece_by_piece(x, panels), (x, panels)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(min_value=0.5, max_value=2.0), EVEN_PANELS)
+def test_property_one_piece_is_bit_identical(x, panels):
+    assert double_integral_residual(x, QuadratureConfig(panels)) == _piece_by_piece(x, panels)
+
+
+@settings(max_examples=20, deadline=None)  # the reference walks up to 1020 pieces of 4096 panels: 0.8 s
+@given(st.floats(min_value=2.0**-1020, max_value=1e300), EVEN_PANELS)
+@example(2.03, 1024)  # just past a breakpoint
+@example(2.0**-1020, 64)
+@example(0.25, 2)
+@example(4.0, MAX_PANELS)
+@example(2.0**996, 64)
+@example(math.nextafter(2.0**40, 0.0), 256)
+@example(math.nextafter(2.0**-40, 1.0), 256)
+def test_property_closed_form_matches_piece_by_piece(x, panels):
+    # The piece-by-piece sum rounds once per piece, up to 1020 pieces of one sign, so it may drift
+    # by about 1020 * 2**-53 = 1.1e-13 from the exact Simpson sum; the closed form stays within 4e-16.
+    q = double_integral_residual(x, QuadratureConfig(panels))
+    ref = _piece_by_piece(x, panels)
+    if 0.5 <= x <= 2.0:
+        assert q == ref
+    else:
+        assert abs(q - ref) <= 1e-13 * ref
+
+
+def _exact_reference_sums(n: int) -> "tuple[Fraction, Fraction]":
+    """The n-panel Simpson sums of 1/s**2 and 1/s on the nodes 1 + j/n of [1, 2], in exact arithmetic."""
+    weights = [1] + [4, 2] * (n // 2 - 1) + [4, 1]
+    a_den = math.lcm(*(3 * (n + j) ** 2 for j in range(n + 1)))
+    b_den = math.lcm(*(3 * (n + j) for j in range(n + 1)))
+    a_num = sum(c * n * (a_den // (3 * (n + j) ** 2)) for j, c in enumerate(weights))
+    b_num = sum(c * (b_den // (3 * (n + j))) for j, c in enumerate(weights))
+    return Fraction(a_num, a_den), Fraction(b_num, b_den)
+
+
+@pytest.mark.parametrize("n", [2, 4, 64, 1024, MAX_PANELS])
+def test_reference_sums_are_within_two_ulp(n):
+    for value, exact in zip(oracles._reference_sums(n), _exact_reference_sums(n)):
+        assert abs(Fraction(value) - exact) <= 2 * Fraction(math.ulp(float(exact))), (n, value)
+
+
+def test_one_piece_of_node_work_per_call(monkeypatch):
+    # The full pieces come from two cached sums, so each call walks the nodes of one piece only,
+    # and each panel count forms its sums once.  x = 1e300 and 2**-1025 have about 1000 pieces.
+    pieces = []
+    formed = Counter()
+    piece, reference_sums = oracles._piece, oracles._reference_sums
+    monkeypatch.setattr(oracles, "_piece", lambda *args: pieces.append(args) or piece(*args))
+    monkeypatch.setattr(oracles, "_reference_sums", lambda n: formed.update([n]) or reference_sums(n))
+    monkeypatch.setattr(oracles, "_REFERENCE_SUMS", {})
+
+    double_integral_residual(2.0, QuadratureConfig(64))
+    assert not formed  # one piece and no full one: nothing to form
+    powers = [2.0**e for e in (-1024, -100, -2, -1, 1, 2, 3, 100, 1023)]
+    xs = [1e300, 2.0**-1025, 2.03, 0.3, 7.0] + powers
+    xs += [math.nextafter(p, 0.0) for p in powers] + [math.nextafter(p, math.inf) for p in powers]
+    for _ in range(2):
+        for panels in (2, 64, 1024, MAX_PANELS):
+            for x in xs:
+                pieces.clear()
+                assert math.isfinite(double_integral_residual(x, QuadratureConfig(panels)))
+                assert len(pieces) == 1, (x, panels)
+            pieces.clear()
+            assert double_integral_residual(1.0, QuadratureConfig(panels)) == 0.0
+            assert not pieces
+    assert formed == Counter({2: 1, 64: 1, 1024: 1, MAX_PANELS: 1})
 
 
 def test_reference_log_matches_extended_precision():
