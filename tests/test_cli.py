@@ -13,7 +13,7 @@ import pytest
 from logseries import cli
 from logseries.inequalities import DEFAULT_SEED, AmgmReport, SweepReport
 from logseries.oracles import QuadratureConfig
-from logseries.series import EvalConfig, trace
+from logseries.series import MAX_TRACE_N, EvalConfig, trace
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 PYPROJECT = pathlib.Path(__file__).parent.parent / "pyproject.toml"
@@ -167,13 +167,26 @@ def test_check_integral_at_point():
 
 
 def test_check_integral_failure_exits_two():
-    # 64 panels are too coarse for the oracle to meet the absolute 1e-8 where the residual is largest.
+    # 64 panels are too coarse for the oracle to meet 1e-8, the bound wherever the residual is below 1e4.
     proc = run_cli("check", "integral", "--panels", "64")
     assert proc.returncode == 2
     lines = _stdout_text(proc).splitlines()
     failed = [lines[i - 1].split(":")[0] for i, line in enumerate(lines) if line == "FAIL: disagreement above 1e-08"]
     assert failed == ["x = 2", "x = 5", "x = 10"]
     assert "PASS" not in lines
+
+
+@pytest.mark.parametrize("x", ["1e5", "1e300"])
+def test_check_integral_passes_far_above_one(capsys, x):
+    # |diff| is 2.3e-8 at 1e5 and 2.3e287 at 1e300, both 2.35e-13 relative: inside the oracle's stated 1e-12.
+    status, out = run_main(capsys, "check", "integral", "--x", x)
+    assert (status, out.splitlines()[-1]) == (0, "PASS")
+
+
+def test_check_integral_failure_far_above_one_names_the_scaled_bound(capsys):
+    status, out = run_main(capsys, "check", "integral", "--x", "1e5", "--panels", "64")
+    assert status == 2
+    assert out.splitlines()[-1] == "FAIL: disagreement above 9.99875e-08"  # 1e-12 times the residual
 
 
 def test_check_integral_odd_panels_exits_one():
@@ -191,6 +204,12 @@ def test_check_integral_beyond_the_float_range_exits_one():
     assert proc.returncode == 1
     assert proc.stdout == b""
     assert proc.stderr.decode().splitlines() == ["logseries: error: the quadrature at x = 1e-310 is beyond the float range"]
+
+
+def test_trace_n_above_bound_exits_one(capsys):
+    # Refused before any row is built; no large n is run.
+    assert cli.main(["trace", "--x", "2", "--n", str(MAX_TRACE_N + 1)]) == 1
+    assert capsys.readouterr().err == f"logseries: error: n must be at most {MAX_TRACE_N}, got {MAX_TRACE_N + 1}\n"
 
 
 def test_check_randomized_sweeps_pass():
@@ -336,6 +355,15 @@ def test_bench_grid_errors_exit_one():
     proc = run_cli("bench", "--grid", "1:inf:3")
     assert proc.returncode == 1
     assert b"--grid bounds must be positive and finite, got inf" in proc.stderr
+
+
+def test_bench_grid_count_above_bound_exits_one(capsys):
+    # Refused while the grid is parsed, before any point is timed.
+    count = cli.MAX_GRID_COUNT + 1
+    assert cli.main(["bench", "--grid", f"1:2:{count}"]) == 1
+    assert capsys.readouterr().err == (
+        f"logseries: error: --grid count must be at most {cli.MAX_GRID_COUNT}, got {count}\n"
+    )
 
 
 def test_bench_nonconvergence_exits_two():

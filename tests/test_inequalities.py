@@ -13,6 +13,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from logseries.inequalities import (
     EQUALITY_TOL,
     GAP_TOL,
+    MAX_SWEEP_COUNT,
     PAIR_TOL,
     amgm_check,
     concavity_check,
@@ -395,6 +396,14 @@ def test_sweep_count_below_one_is_refused():
     for sweep in (sweep_tangent_line, sweep_tangent_at, sweep_concavity, sweep_amgm):
         for count in (-5, 0):
             with pytest.raises(ValueError, match="count"):
+                sweep(count=count)
+
+
+def test_sweep_count_above_bound_is_refused():
+    # Refused before the first draw; no large count is run.
+    for sweep in (sweep_tangent_line, sweep_tangent_at, sweep_concavity, sweep_amgm):
+        for count in (MAX_SWEEP_COUNT + 1, 10**100):
+            with pytest.raises(ValueError, match=f"count must be at most {MAX_SWEEP_COUNT}, got {count}"):
                 sweep(count=count)
 
 

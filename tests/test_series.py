@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from logseries.series import (
+    MAX_TRACE_N,
     EvalConfig,
     LogApproxResult,
     PositiveInput,
@@ -325,6 +326,13 @@ def test_trace_single_row_and_validation():
         trace(4.0, 1.5)
     with pytest.raises(ValueError):
         trace(0.0, 3)
+
+
+def test_trace_n_above_bound_refused():
+    # Refused before any row is built; no large n is run.
+    for n in (MAX_TRACE_N + 1, 10**100):
+        with pytest.raises(ValueError, match=f"n must be at most {MAX_TRACE_N}, got {n}"):
+            trace(2.0, n)
 
 
 @settings(max_examples=300, deadline=None)
