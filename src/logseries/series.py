@@ -232,17 +232,17 @@ def decrement_step(u: float) -> float:
     return u / (math.sqrt(1.0 + u) + 1.0)
 
 
-def _walk(x: float, n: int, tol: float = -1.0, us: "list | None" = None) -> tuple:
+def _walk(x: float, n: int, tol: float = 0.0, us: "list | None" = None) -> tuple:
     """One pass over terms 1..n at x (not checked): (k, D_k, S_k, 2 * term_k).
 
     The chain loop has one exit: the first k with tail 2 * term_k <= tol,
     the cutoff m (k stepped back to m) or n; then j = k, and while the tail
-    exceeds tol, terms j+1..n scale u_j.  D_k = 2**j * u_j and the closure
+    exceeds tol, terms j+1..n scale u_j (at tol = 0 until one underflows to
+    0.0, by about k = 1100).  D_k = 2**j * u_j and the closure
     (x - 1) - D_k of an S_k past the float range are formed once, at the one
-    return.  The tail is inf while a seeding step leaves u_k < -1/2.  With
-    tol < 0 the sum may end once later terms stop moving it, leaving k and
-    the tail stale; :func:`partial_sum` reads neither.  Given a list ``us``,
-    the chain alone: append u_1..u_j, no term or sum, return (j, D_j, 0.0, inf).
+    return.  The tail is inf while a seeding step leaves u_k < -1/2.  Given a
+    list ``us``, the chain alone: append u_1..u_j, no term or sum, return
+    (j, D_j, 0.0, inf).
     """
     sqrt = math.sqrt
     ldexp = math.ldexp
@@ -279,8 +279,6 @@ def _walk(x: float, n: int, tol: float = -1.0, us: "list | None" = None) -> tupl
         u2 = u * u
         for k in range(j + 1, n + 1):
             t = ldexp(u2, 2 * j - k - 1)
-            if tol < 0.0 and s + t == s:
-                break  # smaller terms cannot move s either (rounding is monotone)
             s += t
             tail = factor * t  # _TAIL_FACTOR: the step that reached the cutoff left u_j >= -1/2
             if tail <= tol:

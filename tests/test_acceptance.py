@@ -22,8 +22,6 @@ k = 26 for x = 2.
 import math
 import pathlib
 import random
-import subprocess
-import sys
 
 from logseries.inequalities import (
     amgm_check,
@@ -42,10 +40,6 @@ def _verdict(num: int, name: str, ok: bool, detail: str) -> str:
     line = f"[criterion {num}] {name}: {'PASS' if ok else 'FAIL'} ({detail})"
     print(line)
     return line
-
-
-def _run_cli(*argv):
-    return subprocess.run([sys.executable, "-m", "logseries", *argv], capture_output=True)
 
 
 def test_criterion_1_telescoping_identity():
@@ -216,12 +210,12 @@ def test_criterion_7_term_count_scaling():
     assert ok, detail
 
 
-def test_criterion_8_cli_contract():
-    trace_golden = _run_cli("trace", "--x", "4", "--n", "2", "--format", "csv")
-    amgm_golden = _run_cli("check", "amgm", "--values", "2,8")
+def test_criterion_8_cli_contract(run_main):
+    trace_golden = run_main("trace", "--x", "4", "--n", "2", "--format", "csv")[1]
+    amgm_golden = run_main("check", "amgm", "--values", "2,8")[1]
     golden_ok = (
-        trace_golden.stdout == (GOLDEN / "trace_x4_n2.csv").read_bytes()
-        and amgm_golden.stdout == (GOLDEN / "check_amgm_2_8.txt").read_bytes()
+        trace_golden.encode() == (GOLDEN / "trace_x4_n2.csv").read_bytes()
+        and amgm_golden.encode() == (GOLDEN / "check_amgm_2_8.txt").read_bytes()
     )
     matrix = [
         (("eval", "--x", "4"), 0),
@@ -240,7 +234,7 @@ def test_criterion_8_cli_contract():
         (("eval", "--x", "2", "--tol", "1e-30"), 2),
         (("bench", "--grid", "2:2:1", "--tol", "1e-30", "--format", "csv"), 2),
     ]
-    results = [(argv, expected, _run_cli(*argv).returncode) for argv, expected in matrix]
+    results = [(argv, expected, run_main(*argv)[0]) for argv, expected in matrix]
     mismatches = [entry for entry in results if entry[1] != entry[2]]
     ok = golden_ok and not mismatches
     detail = _verdict(

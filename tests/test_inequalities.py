@@ -3,7 +3,6 @@
 import ast
 import math
 import random
-import subprocess
 import sys
 
 import mpmath
@@ -278,15 +277,15 @@ def test_amgm_mixed_vector_near_dbl_max():
     assert report.holds is True and report.equality is False
 
 
-def test_amgm_at_the_ends_of_the_range():
+def test_amgm_at_the_ends_of_the_range(run_child):
     # In a child interpreter with a timeout, so a check that stops returning fails here instead of hanging.
     code = (
         "from logseries.inequalities import amgm_check\n"
         f"print([(r.holds, r.geometric_mean) for r in map(amgm_check, {AMGM_CORNERS!r})])"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30)
-    assert proc.returncode == 0, proc.stderr
-    for values, (holds, gm) in zip(AMGM_CORNERS, ast.literal_eval(proc.stdout), strict=True):
+    status, out, err = run_child(sys.executable, "-c", code)
+    assert status == 0, err
+    for values, (holds, gm) in zip(AMGM_CORNERS, ast.literal_eval(out.decode()), strict=True):
         assert holds is True
         with mpmath.workprec(200):
             exact = mpmath.exp(mpmath.fsum(mpmath.log(mpmath.mpf(v)) for v in values) / len(values))

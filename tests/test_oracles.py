@@ -2,7 +2,6 @@
 
 import math
 import re
-import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -286,18 +285,12 @@ def test_panels_above_bound_refused():
             QuadratureConfig(bad)
 
 
-def _run_python(code: str) -> subprocess.CompletedProcess:
-    """``code`` in a fresh interpreter that imports this checkout's package (see conftest.py)."""
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    return proc
+def test_import_does_not_load_numpy(run_child):
+    code = "import logseries, logseries.cli, sys; assert 'numpy' not in sys.modules"
+    assert run_child(sys.executable, "-c", code) == (0, b"", b"")
 
 
-def test_import_does_not_load_numpy():
-    _run_python("import logseries, logseries.cli, sys; assert 'numpy' not in sys.modules")
-
-
-def test_light_commands_load_no_heavy_modules():
+def test_light_commands_load_no_heavy_modules(run_child):
     # Start-up dominates these commands, so they import only what they use.
     # The snapshot keeps the test valid where site already loads some of these.
     code = """
@@ -311,4 +304,4 @@ for argv in (["eval", "--x", "4"], ["trace", "--x", "3", "--n", "5"], ["check", 
         assert cli.main(argv) == 0, argv
 print(sorted({"dataclasses", "inspect", "statistics", "timeit", "numpy"} & (set(sys.modules) - before)))
 """
-    assert _run_python(code).stdout == "[]\n"
+    assert run_child(sys.executable, "-c", code) == (0, b"[]\n", b"")

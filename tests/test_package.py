@@ -4,7 +4,6 @@
 What an import loads is read in fresh interpreters, since this one has loaded every layer.
 """
 
-import subprocess
 import sys
 
 import pytest
@@ -65,46 +64,39 @@ def test_star_import_binds_the_tolerances():
     )
 
 
-def _run_python(code: str) -> str:
-    """Stdout of ``code`` in a fresh interpreter that imports this checkout's package (see conftest.py)."""
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
 LOADED = "print(sorted(m for m in sys.modules if m.startswith('logseries.')))"
 
 
-def test_import_loads_the_series_layer_alone():
-    assert _run_python(f"import sys, logseries; {LOADED}") == "['logseries.series']\n"
+def test_import_loads_the_series_layer_alone(run_child):
+    assert run_child(sys.executable, "-c", f"import sys, logseries; {LOADED}") == (0, b"['logseries.series']\n", b"")
 
 
 @pytest.mark.parametrize(
     "name, home",
     [("tangent_at", "inequalities"), ("inequalities", "inequalities"), ("QuadratureConfig", "oracles"), ("oracles", "oracles")],
 )
-def test_first_use_loads_the_home_module_alone(name, home):
-    out = _run_python(f"import sys, logseries; logseries.{name}; {LOADED}")
-    assert out == f"{['logseries.' + home, 'logseries.series']}\n"
+def test_first_use_loads_the_home_module_alone(run_child, name, home):
+    out = f"{['logseries.' + home, 'logseries.series']}\n".encode()
+    assert run_child(sys.executable, "-c", f"import sys, logseries; logseries.{name}; {LOADED}") == (0, out, b"")
 
 
-def test_cli_import_loads_every_layer():
+def test_cli_import_loads_every_layer(run_child):
     # The parser defaults, the FAIL-path tests that patch cli.* and the benchmark's -X importtime probe read all four.
-    out = _run_python(f"import sys, logseries.cli; {LOADED}")
-    assert out == "['logseries.cli', 'logseries.inequalities', 'logseries.oracles', 'logseries.series']\n"
+    out = b"['logseries.cli', 'logseries.inequalities', 'logseries.oracles', 'logseries.series']\n"
+    assert run_child(sys.executable, "-c", f"import sys, logseries.cli; {LOADED}") == (0, out, b"")
 
 
-def test_dir_lists_every_public_name_before_any_lazy_load():
+def test_dir_lists_every_public_name_before_any_lazy_load(run_child):
     code = f"""
 import sys, logseries
 names = dir(logseries)
 assert set({PUBLIC_NAMES!r}) | {{"inequalities", "oracles", "series"}} <= set(names), names
 {LOADED}
 """
-    assert _run_python(code) == "['logseries.series']\n"
+    assert run_child(sys.executable, "-c", code) == (0, b"['logseries.series']\n", b"")
 
 
-def test_unknown_name_raises_and_imports_nothing():
+def test_unknown_name_raises_and_imports_nothing(run_child):
     code = """
 import sys, logseries
 before = set(sys.modules)
@@ -114,15 +106,15 @@ except AttributeError as exc:
     print(exc)
 assert not hasattr(logseries, "no_such_name") and set(sys.modules) == before
 """
-    assert _run_python(code) == "module 'logseries' has no attribute 'no_such_name'\n"
+    assert run_child(sys.executable, "-c", code) == (0, b"module 'logseries' has no attribute 'no_such_name'\n", b"")
 
 
-def test_star_import_in_a_fresh_interpreter_binds_every_public_name():
+def test_star_import_in_a_fresh_interpreter_binds_every_public_name(run_child):
     code = "from logseries import *; print(sorted(name for name in dir() if not name.startswith('_')))"
-    assert _run_python(code) == f"{PUBLIC_NAMES}\n"
+    assert run_child(sys.executable, "-c", code) == (0, f"{PUBLIC_NAMES}\n".encode(), b"")
 
 
-def test_lazy_load_binds_the_modules_own_objects():
+def test_lazy_load_binds_the_modules_own_objects(run_child):
     # After the first lookup every name of the module is a plain entry of the package's namespace.
     code = """
 import logseries
@@ -134,10 +126,10 @@ for module in (inequalities, oracles):
         assert vars(logseries)[name] is getattr(module, name), name
 print("ok")
 """
-    assert _run_python(code) == "ok\n"
+    assert run_child(sys.executable, "-c", code) == (0, b"ok\n", b"")
 
 
-def test_a_public_name_missing_from_the_lazy_table_fails_naming_it():
+def test_a_public_name_missing_from_the_lazy_table_fails_naming_it(run_child):
     code = """
 import logseries, logseries.inequalities
 logseries.inequalities.__all__.append("new_check")
@@ -147,4 +139,5 @@ try:
 except ImportError as exc:
     print(exc)
 """
-    assert _run_python(code) == "logseries.inequalities.__all__ and the package's lazy-name table differ in ['new_check']\n"
+    out = b"logseries.inequalities.__all__ and the package's lazy-name table differ in ['new_check']\n"
+    assert run_child(sys.executable, "-c", code) == (0, out, b"")

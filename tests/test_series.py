@@ -3,7 +3,6 @@
 import itertools
 import math
 import random
-import subprocess
 import sys
 from fractions import Fraction
 
@@ -163,6 +162,15 @@ def test_partial_sum_nonnegative_and_monotone():
 def test_partial_sum_converges_to_residual():
     for x in (0.2, 0.5, 2.0, 9.0):
         assert partial_sum(x, 60) == pytest.approx(x - 1.0 - math.log(x), rel=1e-12, abs=1e-15)
+
+
+def test_partial_sum_is_settled_long_before_huge_n():
+    # Past the cutoff each term halves, so by n = 200 none moves S_n, and by about n = 1100 they underflow to 0.
+    powers = [math.ldexp(1.0, e) for e in range(-1074, 1024, 53)]
+    near_one = [1.0 + sign * 10.0**-k for sign in (-1.0, 1.0) for k in range(1, 16)]
+    for x in [5e-324, DBL_MIN, 1.0, DBL_MAX, *powers, *near_one]:
+        sums = [partial_sum(x, n) for n in (200, 1100, 10**6)]
+        assert len(set(map(repr, sums))) == 1, (x, sums)
 
 
 def test_difference_quotient_examples():
@@ -674,11 +682,10 @@ def test_property_closed_log_relative_accuracy(x):
         assert abs((mpmath.mpf(_log(x)) - ref) / ref) <= 1e-15, x
 
 
-def test_closed_log_chain_is_bounded_at_zero():
+def test_closed_log_chain_is_bounded_at_zero(run_child):
     # 0.0 is outside _log's domain, and u = -1 is a fixed point of the step: an unbounded chain
     # would never end there.  A child process, so that a hang fails the test instead of the run.
-    code = "from logseries.series import _log; _log(0.0)"
-    subprocess.run([sys.executable, "-c", code], check=True, timeout=30)
+    assert run_child(sys.executable, "-c", "from logseries.series import _log; _log(0.0)") == (0, b"", b"")
 
 
 def test_closed_log_at_every_power_of_two():
