@@ -26,19 +26,19 @@ the computed logarithm.  Once the repeated root r reaches [1/2, 1) the
 subtraction r - 1 is exact (Sterbenz) and the recurrence takes over.
 
 Every public function here validates x once and is then a view over one
-pass of :func:`_walk`, which carries u_k, the term 2**(k-1) * u_k**2 (the
-power of two kept by doubling, so scaling by it is exact), the running sum
-S_k and the stopping test together, and returns (k, D_k, S_k, 2 * term_k).
-Its chain loop has one exit for the tolerance, the cutoff and n alike, and
-the pass has one return: D_k is formed there once, and so is the closure
-S_k = (x - 1) - D_k of a sum past the float range; the views only read the
-tuple.  The tail ratio needs D_k alone, since 2**k * term_k =
-2**k * 2**(k-1) * u_k**2 = D_k**2 / 2.  The quotient, the tail ratio and
-:func:`trace` (which sums its rows itself) run the pass in its chain-only
-mode, which forms no term or sum.  The chain itself is read from trace rows:
-``[(r.k, r.u) for r in trace(x, n)]`` gives u_0..u_n.  The chain ends at
-the first step m whose denominator sqrt(1 + u_m) + 1 rounds to exactly 2,
-once |u_m| is below about 2**-52.  u only shrinks toward 0 from there, and
+of two passes over the chain.  The sum pass :func:`_walk` carries u_k, the
+term 2**(k-1) * u_k**2 (the power of two kept by doubling, so scaling by it
+is exact), the running sum S_k and the stopping test, and returns
+(k, D_k, S_k, 2 * term_k), with D_k and the closure S_k = (x - 1) - D_k of
+a sum past the float range formed at its one return.  Seeding steps take a
+loop of their own, so the term loop does only the work of a step.  The
+chain list :func:`_chain` takes the same steps and forms no term: it holds
+u_0..u_j, j = min(n, m), and :func:`trace` sums its rows from it.  The
+quotient and the tail ratio read D_j = 2**j * u_j from its last entry
+(2**k * term_k = D_k**2 / 2).  Trace rows give the chain publicly:
+``[(r.k, r.u) for r in trace(x, n)]`` is u_0..u_n.  The chain ends at the
+first step m whose denominator sqrt(1 + u_m) + 1 rounds to exactly 2, once
+|u_m| is below about 2**-52.  u only shrinks toward 0 from there, and
 rounding is monotone, so every later denominator is 2 as well and every
 later step is an exact halving.  The rest of the chain is therefore
 scaling by powers of two:
@@ -232,49 +232,49 @@ def decrement_step(u: float) -> float:
     return u / (math.sqrt(1.0 + u) + 1.0)
 
 
-def _walk(x: float, n: int, tol: float = 0.0, us: "list | None" = None) -> tuple:
-    """One pass over terms 1..n at x (not checked): (k, D_k, S_k, 2 * term_k).
+def _walk(x: float, n: int, tol: float = 0.0) -> tuple:
+    """The sum pass over terms 1..n at x (not checked): (k, D_k, S_k, 2 * term_k).
 
-    The chain loop has one exit: the first k with tail 2 * term_k <= tol,
-    the cutoff m (k stepped back to m) or n; then j = k, and while the tail
-    exceeds tol, terms j+1..n scale u_j (at tol = 0 until one underflows to
-    0.0, by about k = 1100).  D_k = 2**j * u_j and the closure
-    (x - 1) - D_k of an S_k past the float range are formed once, at the one
-    return.  The tail is inf while a seeding step leaves u_k < -1/2.  Given a
-    list ``us``, the chain alone: append u_1..u_j, no term or sum, return
-    (j, D_j, 0.0, inf).
+    Seeding steps while r < 1/2, then recurrence steps, to the first k with 2 * term_k <= tol, to n or to the
+    cutoff m; then j = k, and while the tail exceeds tol, terms j+1..n scale u_j (at tol = 0 until one underflows
+    to 0.0, by about k = 1100).  The tail is inf while a seeding step leaves u_k < -1/2.
     """
     sqrt = math.sqrt
     ldexp = math.ldexp
     r = x
     u = x - 1.0
     s = 0.0
-    tail = math.inf
+    t = tail = math.inf
     factor = _TAIL_FACTOR
     p = 0.5  # 2**(k-1) by doubling: u * u * p is the double ldexp(u * u, k - 1)
     k = 0
-    for k in range(1, n + 1):
-        if r < 0.5:
-            r = sqrt(r)
-            u = r - 1.0
-            factor = _TAIL_FACTOR if u >= -0.5 else math.inf
-        else:
+    while r < 0.5 and k < n and tail > tol:  # at r = 0.5 - 2**-54, r - 1 rounds to -1/2 and the tail is finite
+        k += 1
+        r = sqrt(r)
+        u = r - 1.0
+        factor = _TAIL_FACTOR if u >= -0.5 else math.inf
+        p += p
+        t = u * u * p
+        s += t
+        tail = factor * t
+    if tail > tol:
+        # A step here starts from r >= 1/2, so the tail is 2 * t, and t <= tol / 2 is exactly 2 * t <= tol: before
+        # the cutoff |u| > 2**-53, so t is normal, and tol / 2 rounds only for a subnormal tol, where both are false.
+        half = tol * 0.5
+        for k in range(k + 1, n + 1):
             d = sqrt(1.0 + u) + 1.0
             if d == 2.0:
                 k -= 1  # the cutoff m = k - 1: step k and every later one is an exact halving
                 break
             u /= d
-        if us is not None:
-            us.append(u)
-            continue
-        p += p
-        t = u * u * p
-        s += t
-        tail = factor * t
-        if tail <= tol:
-            break
+            p += p
+            t = u * u * p
+            s += t
+            if t <= half:
+                break
+        tail = factor * t  # where the loop took no step, t and factor are still the seeding's
     j = k
-    if us is None and tail > tol:
+    if tail > tol:
         # Past the cutoff u_k = ldexp(u_j, j - k), so term_k = ldexp(u_j**2, 2j - k - 1).
         u2 = u * u
         for k in range(j + 1, n + 1):
@@ -285,6 +285,24 @@ def _walk(x: float, n: int, tol: float = 0.0, us: "list | None" = None) -> tuple
                 break
     d = ldexp(u, j)  # past m, u_k = ldexp(u_m, m - k) and so D_k = D_m
     return k, d, s if math.isfinite(s) else (x - 1.0) - d, tail
+
+
+def _chain(x: float, n: int) -> list:
+    """The chain alone at x (not checked): [u_0, .., u_j] for j = min(n, m), by the steps of :func:`_walk`."""
+    sqrt = math.sqrt
+    r = x
+    us = [x - 1.0]
+    while r < 0.5 and len(us) <= n:
+        r = sqrt(r)
+        us.append(r - 1.0)
+    u = us[-1]
+    for _ in range(len(us), n + 1):
+        d = sqrt(1.0 + u) + 1.0
+        if d == 2.0:
+            break
+        u /= d
+        us.append(u)
+    return us
 
 
 # log(2) split as in fdlibm: _LN2_HI has its low 21 bits zero, so e * _LN2_HI
@@ -340,7 +358,8 @@ def partial_sum(x: float, n: int) -> float:
 
 def difference_quotient(x: float, n: int) -> float:
     """D_n = 2**n * u_n, the difference-quotient approximation to log(x)."""
-    return _walk(_positive_value(x), _int_at_least(n, "n", 0), us=[])[1]
+    us = _chain(_positive_value(x), _int_at_least(n, "n", 0))
+    return math.ldexp(us[-1], len(us) - 1)
 
 
 def eval_log(x: float, config: "EvalConfig | None" = None) -> LogApproxResult:
@@ -369,7 +388,8 @@ def tail_ratio(x: float, k: int) -> float:
     """
     xv = _positive_value(x)
     k = _int_at_least(k, "k", 1)
-    d = _walk(xv, k, us=[])[1]
+    us = _chain(xv, k)
+    d = math.ldexp(us[-1], len(us) - 1)
     ratio = d * 0.5 * d  # halving D_k is exact, so this is D_k**2 / 2 rounded once
     if ratio == math.inf:
         raise ValueError(f"tail_ratio({xv!r}, {k}) is beyond the float range")
@@ -388,8 +408,8 @@ def trace(x: float, n: int) -> list[TraceRow]:
     if n > MAX_TRACE_N:
         raise ValueError(f"n must be at most {MAX_TRACE_N}, got {n}")
     ldexp = math.ldexp
-    us = [xv - 1.0]
-    m = _walk(xv, n, us=us)[0]
+    us = _chain(xv, n)
+    m = len(us) - 1
     rows = [TraceRow(0, us[0], 0.0, 0.0, us[0])]
     s = 0.0
     for k in range(1, n + 1):

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from logseries import cli
-from logseries.inequalities import DEFAULT_SEED, AmgmReport, SweepReport
+from logseries.inequalities import DEFAULT_SEED, AmgmReport, SweepReport, sweep_concavity
 from logseries.oracles import QuadratureConfig
 from logseries.series import MAX_TRACE_N, EvalConfig, trace
 
@@ -132,6 +132,21 @@ def test_check_concavity_at_point(run_main):
     status, out, _ = run_main("check", "concavity", "--values", "1,4,0.5")
     assert status == 0
     assert "PASS" in out
+
+
+def test_check_concavity_sweep_prints_the_library_sweep(run_main):
+    # Without --values, check concavity prints sweep_concavity's report at --seed.
+    reports = {seed: sweep_concavity(seed=seed) for seed in (DEFAULT_SEED, 7)}
+    assert reports[7].min_margin != reports[DEFAULT_SEED].min_margin  # so the line tells which seed ran
+    for argv, seed in (((), DEFAULT_SEED), (("--seed", "7"), 7)):
+        report = reports[seed]
+        assert report.violations == 0
+        assert run_main("check", "concavity", *argv) == (
+            0,
+            f"concavity_check: checked={report.checked} min_margin={report.min_margin:.17g} "
+            f"threshold={report.threshold:g} violations=0\nPASS\n",
+            "",
+        )
 
 
 def test_check_value_parsing_errors_exit_one(run_main):

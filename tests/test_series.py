@@ -22,7 +22,7 @@ from logseries.series import (
     tail_ratio,
     trace,
 )
-from logseries.series import _log, _walk
+from logseries.series import _chain as _chain_list, _log
 
 DBL_MAX = sys.float_info.max
 DBL_MIN = sys.float_info.min
@@ -531,16 +531,10 @@ def _reference_eval_log(x, cfg=EvalConfig()):
     return (log_value, s, n, tail, tail <= cfg.tol)
 
 
-def _walked_chain(x, n):
-    # _walk's chain-only mode appends u_1..u_j, j = min(n, m), and forms no terms; u_0 seeds the list, as in trace.
-    us = [x - 1.0]
-    _walk(x, n, us=us)
-    return us
-
-
 def test_walk_stops_where_steps_become_exact_halvings():
+    # The chain list holds u_0..u_j, j = min(n, m), by the steps of the sum pass.
     for x in (1e-300, 0.3, 2.0, 1e300):
-        us = _walked_chain(x, 10**6)
+        us = _chain_list(x, 10**6)
         assert decrement_step(us[-1]) == us[-1] / 2
         assert decrement_step(us[-2]) == us[-1]
 
@@ -550,7 +544,7 @@ def test_walk_length_bounded_over_double_range():
     rng = random.Random(20)
     xs = [5e-324, sys.float_info.min, 0.5, math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0), 2.0, DBL_MAX]
     xs += [math.exp(rng.uniform(-744.0, 709.7)) for _ in range(2000)]
-    assert max(len(_walked_chain(x, 10**6)) for x in xs) <= 70
+    assert max(len(_chain_list(x, 10**6)) for x in xs) <= 70
 
 
 @pytest.mark.parametrize("n", [1070, 1100, 5000])
@@ -610,6 +604,53 @@ def test_property_eval_log_stopping_rule_under_any_config(x, tol, max_terms):
     # each term and then tests, one decrement_step per term.
     cfg = EvalConfig(tol=tol, max_terms=max_terms)
     assert repr(tuple(eval_log(x, cfg))) == repr(_reference_eval_log(x, cfg))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.floats(min_value=0.0, max_value=0.5, exclude_min=True, exclude_max=True),
+        st.floats(min_value=0.0, max_value=DBL_MAX, exclude_min=True),
+    ),
+    st.one_of(
+        st.floats(min_value=5e-324, max_value=1e3),
+        st.floats(min_value=-323.0, max_value=3.0).map(lambda e: 10.0**e),
+    ),
+    st.integers(min_value=1, max_value=12),
+)
+@example(0.3, 1.0, 12)
+@example(math.nextafter(0.25, 0.0), 1.0, 12)
+@example(1e-300, 3 * 5e-324, 12)
+@example(2.0, 3 * 5e-324, 12)
+def test_property_eval_log_seeding_and_recurrence_loops_under_any_config(x, tol, max_terms):
+    # The kernel seeds in a loop of its own and may stop in it, on the tail or on
+    # max_terms; subnormal and very large tol and a short budget reach both loops' exits.
+    cfg = EvalConfig(tol=tol, max_terms=max_terms)
+    assert repr(tuple(eval_log(x, cfg))) == repr(_reference_eval_log(x, cfg))
+
+
+def test_eval_log_stops_inside_the_seeding_loop():
+    # x in [0.25, 0.5) at tol = 1 stops at term 1, a seeding step.  So does the double below 0.25:
+    # its root is the double below 1/2, and r - 1 rounds to -1/2, so the stop comes while r < 1/2.
+    for x in (math.nextafter(0.25, 0.0), 0.25, 0.3, 0.4, math.nextafter(0.5, 0.0)):
+        cfg = EvalConfig(tol=1.0)
+        result = eval_log(x, cfg)
+        assert result.terms_used == 1 and result.converged, x
+        assert repr(tuple(result)) == repr(_reference_eval_log(x, cfg)), x
+    # At x = 1e-300 steps 1..10 are seeding steps, so max_terms <= 10 ends the pass there.
+    us = _reference_chain(1e-300, 10)
+    assert us[9] < -0.5 <= us[10]  # r_9 < 1/2 <= r_10: step 10 is the last seeding step
+    for max_terms in range(1, 13):
+        for tol in (1e-14, 3 * 5e-324):
+            cfg = EvalConfig(tol=tol, max_terms=max_terms)
+            result = eval_log(1e-300, cfg)
+            assert result.terms_used == max_terms and not result.converged, (tol, max_terms)
+            assert repr(tuple(result)) == repr(_reference_eval_log(1e-300, cfg)), (tol, max_terms)
+    # A tail equal to tol stops the pass, in the seeding loop (terms 1 and 10) and in the recurrence (term 5).
+    for x, k in ((0.3, 1), (1e-300, 10), (2.0, 5)):
+        tol = 2.0 * trace(x, k)[k].term
+        result = eval_log(x, EvalConfig(tol=tol))
+        assert (result.terms_used, result.tail_estimate, result.converged) == (k, tol, True), x
 
 
 @settings(max_examples=300, deadline=None)
