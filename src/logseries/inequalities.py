@@ -29,12 +29,16 @@ The public checks validate their arguments, then run a private margin
 kernel.  The randomized sweeps draw log-uniformly from [1e-6, 100] with a
 fixed default seed, so that reruns are reproducible bit for bit, and pass
 their own draws, valid by construction, to the same kernels unchecked.
+Each sweep is a lazy stream of (margin, args) pairs over one draw stream,
+:func:`_draws`, reduced to a report in one loop, so it holds one point at a
+time and its memory does not grow with ``count``.
 """
 
 import math
 import random
 import sys
-from typing import Callable, NamedTuple, Sequence
+from itertools import islice
+from typing import Iterator, NamedTuple, Sequence
 
 from .series import _int_at_least, _log, _positive_value, _real
 
@@ -63,13 +67,13 @@ EQUALITY_TOL = 1e-12
 
 DEFAULT_SEED = 42
 # The bound limits a sweep's time: 100 times the two-point sweeps' default count.
-# At the bound they take 1.6 to 3.2 s and sweep_amgm about 16 s (Python 3.11, one
+# At the bound they take 1.2 to 2.2 s and sweep_amgm about 12 s (Python 3.11, one
 # core of a shared x86-64 VM).
 MAX_SWEEP_COUNT = 1000000
 SAMPLE_LO = 1e-6
 SAMPLE_HI = 100.0
 
-# The logs of the sweeps' bounds, taken once for every draw of :func:`_draw`.
+# The logs of the sweeps' bounds, taken once for every draw of :func:`_draws`.
 _LOG_LO = math.log(SAMPLE_LO)
 _LOG_SPAN = math.log(SAMPLE_HI) - _LOG_LO
 
@@ -206,35 +210,33 @@ def _means(vs: Sequence[float]) -> "tuple[float, float]":
     return am, gm
 
 
-def _draw(rng: random.Random) -> float:
-    """exp(rng.uniform(log SAMPLE_LO, log SAMPLE_HI)) bit for bit: uniform(a, b) is a + (b - a) * random().
+def _draws(rng: random.Random) -> "Iterator[float]":
+    """exp(rng.uniform(log SAMPLE_LO, log SAMPLE_HI)) bit for bit, one rng.random() per draw, taken lazily.
 
-    No clamp is needed: random() in [0, 1 - 2**-53] gives draws from
-    1.0000000000000004e-06 to 99.99999999999987, inside [1e-6, 100].
+    uniform(a, b) is a + (b - a) * random().  No clamp is needed: random() in
+    [0, 1 - 2**-53] gives draws from 1.0000000000000004e-06 to
+    99.99999999999987, inside [1e-6, 100].
     """
-    return math.exp(_LOG_LO + _LOG_SPAN * rng.random())
+    exp, lo, span, rand = math.exp, _LOG_LO, _LOG_SPAN, rng.random
+    while True:
+        yield exp(lo + span * rand())
 
 
-def _sweep(
-    name: str,
-    draw: "Callable[[random.Random], tuple]",
-    margin: "Callable[..., float]",
-    threshold: float,
-    count: int,
-    seed: int,
-) -> SweepReport:
-    """Take ``count`` draws, at most MAX_SWEEP_COUNT; ``margin`` gets each unchecked, so draws must be valid by construction."""
+def _seeded(count: int, seed: int) -> "tuple[int, random.Random]":
+    """``count`` checked (at least 1, at most MAX_SWEEP_COUNT), then the generator seeded by ``seed``."""
     count = _int_at_least(count, "count", 1)
     if count > MAX_SWEEP_COUNT:
         raise ValueError(f"count must be at most {MAX_SWEEP_COUNT}, got {count}")
-    rng = random.Random(_int_at_least(seed, "seed", -math.inf))
+    return count, random.Random(_int_at_least(seed, "seed", -math.inf))
+
+
+def _sweep(name: str, points: "Iterator[tuple[float, tuple]]", threshold: float, count: int) -> SweepReport:
+    """Reduce the first ``count`` (margin, args) pairs of ``points`` to a report."""
     min_margin = math.inf
     worst: tuple = ()
     violations = 0
     first: "tuple | None" = None
-    for _ in range(count):
-        args = draw(rng)
-        value = margin(*args)
+    for value, args in islice(points, count):
         if value < min_margin:
             min_margin = value
             worst = args
@@ -247,38 +249,30 @@ def _sweep(
 
 def sweep_tangent_line(count: int = 10000, seed: int = DEFAULT_SEED) -> SweepReport:
     """Randomized tangent-line margins; must stay above -GAP_TOL."""
-    return _sweep(
-        "tangent_line_gap",
-        lambda rng: (_draw(rng),),
-        _gap,
-        -GAP_TOL,
-        count,
-        seed,
-    )
+    count, rng = _seeded(count, seed)
+    points = ((_gap(x), (x,)) for x in _draws(rng))
+    return _sweep("tangent_line_gap", points, -GAP_TOL, count)
 
 
 def sweep_tangent_at(count: int = 10000, seed: int = DEFAULT_SEED) -> SweepReport:
     """Randomized general tangent margins; must stay above -PAIR_TOL."""
-    return _sweep(
-        "tangent_at",
-        lambda rng: (_draw(rng), _draw(rng)),
-        _tangent_at,
-        -PAIR_TOL,
-        count,
-        seed,
-    )
+    count, rng = _seeded(count, seed)
+    draws = _draws(rng)
+    points = ((_tangent_at(a, x), (a, x)) for a, x in zip(draws, draws))
+    return _sweep("tangent_at", points, -PAIR_TOL, count)
 
 
 def sweep_concavity(count: int = 10000, seed: int = DEFAULT_SEED) -> SweepReport:
     """Randomized chord-vs-curve margins; must stay above -PAIR_TOL."""
-    return _sweep(
-        "concavity_check",
-        lambda rng: (_draw(rng), _draw(rng), rng.random()),
-        _concavity,
-        -PAIR_TOL,
-        count,
-        seed,
-    )
+    count, rng = _seeded(count, seed)
+
+    def points() -> "Iterator[tuple[float, tuple]]":
+        draws = _draws(rng)
+        for x, y in zip(draws, draws):
+            lam = rng.random()
+            yield _concavity(x, y, lam), (x, y, lam)
+
+    return _sweep("concavity_check", points(), -PAIR_TOL, count)
 
 
 def sweep_amgm(count: int = 1000, seed: int = DEFAULT_SEED) -> SweepReport:
@@ -288,12 +282,13 @@ def sweep_amgm(count: int = 1000, seed: int = DEFAULT_SEED) -> SweepReport:
     ``holds`` flag of :func:`amgm_check`.  Length 1 is left out: AM = GM
     exactly there, so it would pin the minimum margin at 0.
     """
-    def draw(rng: random.Random) -> tuple:
-        length = rng.randint(2, 16)
-        return (tuple(_draw(rng) for _ in range(length)),)
+    count, rng = _seeded(count, seed)
 
-    def margin(values: tuple) -> float:
-        am, gm = _means(values)
-        return (am - gm) / am
+    def points() -> "Iterator[tuple[float, tuple]]":
+        draws = _draws(rng)
+        while True:
+            values = tuple(islice(draws, rng.randint(2, 16)))
+            am, gm = _means(values)
+            yield (am - gm) / am, (values,)
 
-    return _sweep("amgm_check", draw, margin, -EQUALITY_TOL, count, seed)
+    return _sweep("amgm_check", points(), -EQUALITY_TOL, count)

@@ -149,6 +149,14 @@ def test_check_concavity_sweep_prints_the_library_sweep(run_main):
         )
 
 
+@pytest.mark.parametrize("check", ["tangent", "concavity", "amgm"])
+def test_check_sweep_golden(run_main, check):
+    # The default-seed sweeps, min_margin to 17 digits.
+    status, out, _ = run_main("check", check)
+    assert status == 0
+    assert out.encode() == (GOLDEN / f"check_{check}_sweep.txt").read_bytes()
+
+
 def test_check_value_parsing_errors_exit_one(run_main):
     assert run_main("check", "amgm", "--values", "")[0] == 1
     assert run_main("check", "amgm", "--values", "2,minus")[0] == 1

@@ -4,6 +4,7 @@ import ast
 import math
 import random
 import sys
+import tracemalloc
 
 import mpmath
 import pytest
@@ -23,7 +24,7 @@ from logseries.inequalities import (
     tangent_at,
     tangent_line_gap,
 )
-from logseries.inequalities import _concavity, _draw, _gap, _means, _sweep, _tangent_at
+from logseries.inequalities import _concavity, _draws, _gap, _means, _sweep, _tangent_at
 from logseries.series import _log
 
 DBL_MAX = sys.float_info.max
@@ -331,8 +332,8 @@ class _FixedRandom(random.Random):
 
 @pytest.mark.parametrize("value", [0.0, 1.0 - 2.0**-53])
 def test_sweep_draw_extremes_stay_in_the_default_bounds(value):
-    # Why _draw needs no clamp: its extremes are 1.0000000000000004e-06 and 99.99999999999987.
-    draw = _draw(_FixedRandom(value))
+    # Why _draws needs no clamp: its extremes are 1.0000000000000004e-06 and 99.99999999999987.
+    draw = next(_draws(_FixedRandom(value)))
     assert 1e-6 <= draw <= 100.0
     assert draw.hex() == _log_uniform(_FixedRandom(value)).hex()
 
@@ -340,9 +341,11 @@ def test_sweep_draw_extremes_stay_in_the_default_bounds(value):
 @pytest.mark.parametrize("seed", [0, 42, 1711])
 def test_sweep_draws_are_log_uniform_draws(seed):
     # The sweeps draw with the logs of the default bounds taken once: the same stream, bit for bit.
+    # The stream is lazy: after 10,000 draws it has taken exactly 10,000 random() values.
     rng_a, rng_b = random.Random(seed), random.Random(seed)
+    draws = _draws(rng_a)
     for _ in range(10000):
-        assert _draw(rng_a).hex() == _log_uniform(rng_b).hex()
+        assert next(draws).hex() == _log_uniform(rng_b).hex()
     assert rng_a.getstate() == rng_b.getstate()
 
 
@@ -415,7 +418,9 @@ def test_sweep_seed_is_an_integer_of_either_sign():
 
 
 def test_sweep_counts_violations_as_a_recount_does():
-    report = _sweep("half", lambda rng: (rng.random(),), lambda v: v - 0.5, 0.0, 200, 9)
+    points = ((v - 0.5, (v,)) for v in iter(random.Random(9).random, None))
+    report = _sweep("half", points, 0.0, 200)
+    assert report.checked == 200
     rng = random.Random(9)
     values = [rng.random() for _ in range(200)]
     below = [v for v in values if v - 0.5 < 0.0]
@@ -445,15 +450,29 @@ def _amgm_margin(values):
 def test_sweeps_report_what_the_public_checks_compute(seed):
     # The sweeps skip the argument checks on their own draws; the public checks must agree on each one.
     cases = [
-        (sweep_tangent_line, lambda rng: (_draw(rng),), tangent_line_gap),
-        (sweep_tangent_at, lambda rng: (_draw(rng), _draw(rng)), tangent_at),
-        (sweep_concavity, lambda rng: (_draw(rng), _draw(rng), rng.random()), concavity_check),
-        (sweep_amgm, lambda rng: (tuple(_draw(rng) for _ in range(rng.randint(2, 16))),), _amgm_margin),
+        (sweep_tangent_line, lambda rng: (_log_uniform(rng),), tangent_line_gap),
+        (sweep_tangent_at, lambda rng: (_log_uniform(rng), _log_uniform(rng)), tangent_at),
+        (sweep_concavity, lambda rng: (_log_uniform(rng), _log_uniform(rng), rng.random()), concavity_check),
+        (sweep_amgm, lambda rng: (tuple(_log_uniform(rng) for _ in range(rng.randint(2, 16))),), _amgm_margin),
     ]
     for sweep, draw, check in cases:
         report = sweep(count=2000, seed=seed)
         recount = _recount(draw, check, report.threshold, 2000, seed)
         assert (report.min_margin, report.worst_input, report.violations, report.first_violation) == recount
+
+
+@pytest.mark.parametrize("sweep", [sweep_tangent_at, sweep_concavity])
+def test_sweep_memory_does_not_grow_with_count(sweep):
+    sweep(count=10)  # one-time first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        sweep(count=100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The sweep draws and reduces one point at a time, so its peak is O(1) in count
+    # (3-4 KB); a list of 100,000 pre-drawn points would hold over 1 MB.
+    assert peak < 64 * 1024
 
 
 def test_sweep_reports_are_reproducible():
