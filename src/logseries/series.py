@@ -31,17 +31,17 @@ term 2**(k-1) * u_k**2 (the power of two kept by doubling, so scaling by it
 is exact), the running sum S_k and the stopping test, and returns
 (k, D_k, S_k, 2 * term_k), with D_k and the closure S_k = (x - 1) - D_k of
 a sum past the float range formed at its one return.  Seeding steps take a
-loop of their own, so the term loop does only the work of a step.  The
-chain list :func:`_chain` takes the same steps and forms no term: it holds
-u_0..u_j, j = min(n, m), and :func:`trace` sums its rows from it.  The
-quotient and the tail ratio read D_j = 2**j * u_j from its last entry
-(2**k * term_k = D_k**2 / 2).  Trace rows give the chain publicly:
-``[(r.k, r.u) for r in trace(x, n)]`` is u_0..u_n.  The chain ends at the
-first step m whose denominator sqrt(1 + u_m) + 1 rounds to exactly 2, once
-|u_m| is below about 2**-52.  u only shrinks toward 0 from there, and
-rounding is monotone, so every later denominator is 2 as well and every
-later step is an exact halving.  The rest of the chain is therefore
-scaling by powers of two:
+loop of their own, and the recurrence loop tests neither for seeding nor
+for the cutoff m below.  The chain list :func:`_chain` takes the same
+steps and forms no term: it holds u_0..u_j, j = min(n, m), and
+:func:`trace` sums its rows from it.  The quotient and the tail ratio
+read D_j = 2**j * u_j from its last entry (2**k * term_k = D_k**2 / 2).
+Trace rows give the chain publicly: ``[(r.k, r.u) for r in trace(x, n)]``
+is u_0..u_n.  The chain ends at the first step m whose denominator
+sqrt(1 + u_m) + 1 rounds to exactly 2, once |u_m| is below about 2**-52.
+u only shrinks toward 0 from there, and rounding is monotone, so every
+later denominator is 2 as well and every later step is an exact halving.
+The rest of the chain is therefore scaling by powers of two:
 
     u_k = u_m * 2**(m-k),  term_k = u_m**2 * 2**(2m-k-1),  D_k = 2**m * u_m
 
@@ -50,7 +50,11 @@ u_k**2 is a normal double, and they stay right where that chain would
 underflow (it gives D_1100 = 0 at x = 2).  D_k is constant past m
 because the true D_k = log(x) * (1 + u_k/2 + ...) moves by a relative
 u_k/2 or less, which past |u_m| < 2**-52 is below half an ulp.  The chain
-takes at most about 70 steps for any x and n.
+list takes at most about 70 steps for any x and n.  The sum pass steps on
+past m without looking for it: a step there halves u exactly, the u_k,
+term_k and D_k of the scaling while u_k**2 is normal, which holds up to
+k = 458 (the smallest nonzero |u_m| is 2**-53).  It scales from
+k = _FREE_STEPS = 400 on.
 
 The inequality checks need log(x) alone, and :func:`_log` gives it by
 closing the chain's tail instead of summing it (Briggs' repeated-root
@@ -215,6 +219,15 @@ MAX_TRACE_N = 10000
 # u_n < -1/2 bounds no tail, and there the estimate is inf.
 _TAIL_FACTOR = 2.0
 
+# The recurrence loop of :func:`_walk` takes at most this many steps and does not test for the cutoff m: past it
+# every step halves u exactly, which gives the u_k, term_k and D_k of scaling u_m while u_k**2 is normal.  The
+# smallest nonzero |u_m| is 2**-53 (u_0 at x = nextafter(1, 0)), so u_k**2 >= 2**-1022 up to k = 458.
+_FREE_STEPS = 400
+_new = tuple.__new__  # builds a record from a tuple of its fields, as the namedtuple's _make does
+_sqrt = math.sqrt
+_ldexp = math.ldexp
+_inf = math.inf
+
 
 def decrement_step(u: float) -> float:
     """Advance one square root: send x**w - 1 to x**(w/2) - 1.
@@ -235,16 +248,16 @@ def decrement_step(u: float) -> float:
 def _walk(x: float, n: int, tol: float = 0.0) -> tuple:
     """The sum pass over terms 1..n at x (not checked): (k, D_k, S_k, 2 * term_k).
 
-    Seeding steps while r < 1/2, then recurrence steps, to the first k with 2 * term_k <= tol, to n or to the
-    cutoff m; then j = k, and while the tail exceeds tol, terms j+1..n scale u_j (at tol = 0 until one underflows
-    to 0.0, by about k = 1100).  The tail is inf while a seeding step leaves u_k < -1/2.
+    Seeding steps while r < 1/2, then recurrence steps, to the first k with 2 * term_k <= tol, to n or to
+    _FREE_STEPS, stepping on past the cutoff m, where each step halves u exactly; then j = k, and while the tail
+    exceeds tol, terms j+1..n scale u_j (at tol = 0 until one underflows to 0.0, by about k = 1100).  The tail is
+    inf while a seeding step leaves u_k < -1/2.
     """
-    sqrt = math.sqrt
-    ldexp = math.ldexp
+    sqrt = _sqrt
     r = x
     u = x - 1.0
     s = 0.0
-    t = tail = math.inf
+    t = tail = _inf
     factor = _TAIL_FACTOR
     p = 0.5  # 2**(k-1) by doubling: u * u * p is the double ldexp(u * u, k - 1)
     k = 0
@@ -252,21 +265,17 @@ def _walk(x: float, n: int, tol: float = 0.0) -> tuple:
         k += 1
         r = sqrt(r)
         u = r - 1.0
-        factor = _TAIL_FACTOR if u >= -0.5 else math.inf
+        factor = _TAIL_FACTOR if u >= -0.5 else _inf
         p += p
         t = u * u * p
         s += t
         tail = factor * t
     if tail > tol:
-        # A step here starts from r >= 1/2, so the tail is 2 * t, and t <= tol / 2 is exactly 2 * t <= tol: before
-        # the cutoff |u| > 2**-53, so t is normal, and tol / 2 rounds only for a subnormal tol, where both are false.
+        # A step here starts from r >= 1/2, so the tail is 2 * t, and t <= tol / 2 is exactly 2 * t <= tol: up to
+        # _FREE_STEPS, t >= u_k**2 is normal, and tol / 2 rounds only for a subnormal tol, where both are false.
         half = tol * 0.5
-        for k in range(k + 1, n + 1):
-            d = sqrt(1.0 + u) + 1.0
-            if d == 2.0:
-                k -= 1  # the cutoff m = k - 1: step k and every later one is an exact halving
-                break
-            u /= d
+        for k in range(k + 1, (n if n < _FREE_STEPS else _FREE_STEPS) + 1):
+            u /= sqrt(1.0 + u) + 1.0
             p += p
             t = u * u * p
             s += t
@@ -275,16 +284,16 @@ def _walk(x: float, n: int, tol: float = 0.0) -> tuple:
         tail = factor * t  # where the loop took no step, t and factor are still the seeding's
     j = k
     if tail > tol:
-        # Past the cutoff u_k = ldexp(u_j, j - k), so term_k = ldexp(u_j**2, 2j - k - 1).
+        # From j = _FREE_STEPS on, u_k = ldexp(u_j, j - k), so term_k = ldexp(u_j**2, 2j - k - 1).
         u2 = u * u
         for k in range(j + 1, n + 1):
-            t = ldexp(u2, 2 * j - k - 1)
+            t = _ldexp(u2, 2 * j - k - 1)
             s += t
-            tail = factor * t  # _TAIL_FACTOR: the step that reached the cutoff left u_j >= -1/2
+            tail = factor * t  # _TAIL_FACTOR: the free steps left u_j >= -1/2
             if tail <= tol:
                 break
-    d = ldexp(u, j)  # past m, u_k = ldexp(u_m, m - k) and so D_k = D_m
-    return k, d, s if math.isfinite(s) else (x - 1.0) - d, tail
+    d = _ldexp(u, j)  # past m, u_k = ldexp(u_m, m - k) and so D_k = D_m
+    return k, d, s if s < _inf else (x - 1.0) - d, tail
 
 
 def _chain(x: float, n: int) -> list:
@@ -311,7 +320,6 @@ _LN2_HI = float.fromhex("0x1.62e42fee00000p-1")
 _LN2_LO = float.fromhex("0x1.a39ef35793c76p-33")
 _SQRT_HALF = math.sqrt(0.5)
 _frexp = math.frexp
-_sqrt = math.sqrt
 
 
 def _log(x: float) -> float:
@@ -378,7 +386,7 @@ def eval_log(x: float, config: "EvalConfig | None" = None) -> LogApproxResult:
     elif not isinstance(config, EvalConfig):
         raise TypeError(f"config must be an EvalConfig or None, got {type(config).__name__}")
     k, d, s, tail = _walk(xv, config.max_terms, config.tol)
-    return LogApproxResult(d, s, k, tail, tail <= config.tol)
+    return _new(LogApproxResult, (d, s, k, tail, tail <= config.tol))
 
 
 def tail_ratio(x: float, k: int) -> float:
@@ -407,18 +415,24 @@ def trace(x: float, n: int) -> list[TraceRow]:
     n = _int_at_least(n, "n", 0)
     if n > MAX_TRACE_N:
         raise ValueError(f"n must be at most {MAX_TRACE_N}, got {n}")
-    ldexp = math.ldexp
     us = _chain(xv, n)
     m = len(us) - 1
-    rows = [TraceRow(0, us[0], 0.0, 0.0, us[0])]
+    u = d = us[0]
+    rows = [_new(TraceRow, (0, u, 0.0, 0.0, d))]
     s = 0.0
-    for k in range(1, n + 1):
-        j = k if k <= m else m
-        u = us[j]
-        t = ldexp(u * u, 2 * j - k - 1)
+    p = 0.5  # 2**(k-1) by doubling, as in _walk: u * u * p and u * (p + p) are exact scalings
+    for k in range(1, m + 1):
+        u = us[k]
+        p += p
+        t = u * u * p
         s += t
-        rows.append(TraceRow(k, ldexp(u, j - k), t, s, ldexp(u, j)))
+        d = u * (p + p)
+        rows.append(_new(TraceRow, (k, u, t, s, d)))
+    for k in range(m + 1, n + 1):  # past m, u_k = ldexp(u_m, m - k), term_k = ldexp(u_m**2, 2m - k - 1), D_k = D_m
+        t = _ldexp(u * u, 2 * m - k - 1)
+        s += t
+        rows.append(_new(TraceRow, (k, _ldexp(u, m - k), t, s, d)))
     if not math.isfinite(s):
         # Past the float range x - 1 dwarfs D_k = log(x), so S_k = (x - 1) - D_k cancels nothing.
-        rows = [TraceRow(k, u, t, (xv - 1.0) - d, d) for k, u, t, _, d in rows]
+        rows = [_new(TraceRow, (k, u, t, (xv - 1.0) - d, d)) for k, u, t, _, d in rows]
     return rows

@@ -15,6 +15,7 @@ from logseries.series import (
     EvalConfig,
     LogApproxResult,
     PositiveInput,
+    TraceRow,
     decrement_step,
     difference_quotient,
     eval_log,
@@ -22,7 +23,7 @@ from logseries.series import (
     tail_ratio,
     trace,
 )
-from logseries.series import _chain as _chain_list, _log
+from logseries.series import _FREE_STEPS, _chain as _chain_list, _log
 
 DBL_MAX = sys.float_info.max
 DBL_MIN = sys.float_info.min
@@ -564,25 +565,34 @@ def test_tail_ratio_and_trace_past_underflow():
     assert trace(2.0, 1100)[-1].diff_quotient == difference_quotient(2.0, 1100)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.floats(min_value=0.0, max_value=DBL_MAX, exclude_min=True), st.integers(min_value=0, max_value=80))
-@example(1.0, 60)
-@example(1.0, 1100)
-def test_property_views_bit_identical_to_stepwise_chain(x, n):
+def _reference_rows(x, n):
+    """Trace rows 0..n from the stepwise chain: term ldexp(u_k**2, k - 1), S_k summed, D_k = ldexp(u_k, k)."""
     us = _reference_chain(x, n)
     terms = [math.ldexp(u * u, k - 1) for k, u in enumerate(us) if k]
     sums = list(itertools.accumulate(terms, initial=0.0))
     quotients = [math.ldexp(u, k) for k, u in enumerate(us)]
-    # repr tells -0.0 from 0.0 and prints every double exactly.
-    assert repr(_chain(x, n)) == repr(list(enumerate(us)))
     if not math.isfinite(sums[n]):
         # Near DBL_MAX term 1 overflows; trace and partial_sum close every
         # S_k by the identity, as _reference_eval_log does for the residual.
         sums = [(x - 1.0) - q for q in quotients]
-    rows = list(zip(range(n + 1), us, [0.0, *terms], sums, quotients))
+    return list(zip(range(n + 1), us, [0.0, *terms], sums, quotients))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=0.0, max_value=DBL_MAX, exclude_min=True), st.integers(min_value=0, max_value=450))
+@example(1.0, 60)
+@example(1.0, 1100)
+@example(math.nextafter(1.0, 0.0), 450)
+@example(2.0, _FREE_STEPS + 1)
+def test_property_views_bit_identical_to_stepwise_chain(x, n):
+    # Up to n = 450 the stepwise chain's u_k**2 is normal at every x, so n crosses _FREE_STEPS with no underflow.
+    rows = _reference_rows(x, n)
+    us = [u for _, u, *_ in rows]
+    # repr tells -0.0 from 0.0 and prints every double exactly.
+    assert repr(_chain(x, n)) == repr(list(enumerate(us)))
     assert repr([tuple(r) for r in trace(x, n)]) == repr(rows)
-    assert repr(partial_sum(x, n)) == repr(sums[n])
-    assert repr(difference_quotient(x, n)) == repr(quotients[n])
+    assert repr(partial_sum(x, n)) == repr(rows[n][3])
+    assert repr(difference_quotient(x, n)) == repr(rows[n][4])
     if n >= 1:
         # At k = 1 for x near DBL_MAX, 2 * u_1**2 is beyond the float range:
         # the reference's ldexp raises OverflowError there, or returns inf
@@ -591,6 +601,69 @@ def test_property_views_bit_identical_to_stepwise_chain(x, n):
         expected = _outcome(math.ldexp, us[n] * us[n], 2 * n - 1).replace("OverflowError", "ValueError")
         assert _outcome(tail_ratio, x, n) == ("ValueError" if expected == "inf" else expected)
     assert repr(tuple(eval_log(x))) == repr(_reference_eval_log(x))
+
+
+# eval_log(x, EvalConfig(5e-324, 1100)) and trace(x, 1100)[-1], the doubles of scaling u_m from the cutoff m on.
+# The stepwise chain's u_k**2 is subnormal by k = 1100 at each x, so they are pinned.
+SETTLED_AT_1100 = {
+    math.nextafter(1.0, 0.0): (
+        "(-1.1102230246251565e-16, 6.162975822039155e-33, 968, 0.0, True)",
+        "(1100, -0.0, 0.0, 6.162975822039155e-33, -1.1102230246251565e-16)",
+    ),
+    math.nextafter(1.0, 2.0): (
+        "(2.220446049250313e-16, 2.465190328815662e-32, 970, 0.0, True)",
+        "(1100, 0.0, 0.0, 2.465190328815662e-32, 2.220446049250313e-16)",
+    ),
+    2.0: (
+        "(0.6931471805599457, 0.3068528194400547, 1073, 0.0, True)",
+        "(1100, 0.0, 0.0, 0.3068528194400547, 0.6931471805599457)",
+    ),
+    5e-324: (
+        "(-744.4400719213812, 743.440071921381, 1094, 0.0, True)",
+        "(1100, -0.0, 0.0, 743.440071921381, -744.4400719213812)",
+    ),
+    DBL_MIN: (
+        "(-708.3964185322649, 707.3964185322642, 1093, 0.0, True)",
+        "(1100, -0.0, 0.0, 707.3964185322642, -708.3964185322649)",
+    ),
+    DBL_MAX: (
+        "(709.7827128933844, 1.7976931348623157e+308, 1093, 0.0, True)",
+        "(1100, 0.0, 0.0, 1.7976931348623157e+308, 709.7827128933844)",
+    ),
+}
+
+
+@pytest.mark.parametrize("x", list(SETTLED_AT_1100))
+def test_views_across_the_hand_off_from_steps_to_scaling(x):
+    # Next to 1 the cutoff comes at m = 0 and |u_m| is smallest; the sum pass steps to _FREE_STEPS and scales
+    # from there.  Up to n = 458 the stepwise chain's u_k**2 is normal, and the views match it bit for bit.
+    for n in (_FREE_STEPS - 1, _FREE_STEPS, _FREE_STEPS + 1, 458):
+        rows = _reference_rows(x, n)
+        assert all(u == 0.0 or u * u >= DBL_MIN for _, u, *_ in rows)
+        cfg = EvalConfig(tol=5e-324, max_terms=n)
+        assert repr(tuple(eval_log(x, cfg))) == repr(_reference_eval_log(x, cfg))
+        assert repr(partial_sum(x, n)) == repr(rows[n][3])
+        assert repr([tuple(r) for r in trace(x, n)]) == repr(rows)
+    rows = trace(x, 1100)
+    assert repr([tuple(r) for r in rows[:459]]) == repr(_reference_rows(x, 458))
+    result, last_row = SETTLED_AT_1100[x]
+    assert repr(tuple(eval_log(x, EvalConfig(tol=5e-324, max_terms=1100)))) == result
+    assert repr(tuple(rows[-1])) == last_row
+    assert repr(partial_sum(x, 1100)) == repr(rows[-1].partial_sum)
+
+
+def test_free_steps_keep_the_squares_normal():
+    # A step past the cutoff m halves u exactly, the double the scaling gives, while u_k**2 is normal.  u_k is
+    # u_m * 2**(m - k), so the smallest square of the free steps is at k = _FREE_STEPS (u stays 0 at x = 1).
+    rng = random.Random(33)
+    xs = [5e-324, DBL_MIN, 0.5, 2.0, DBL_MAX]
+    xs += [1.0 + k * 2.0**-53 for k in range(-300, 0)] + [1.0 + k * 2.0**-52 for k in range(1, 301)]
+    xs += [1.0 + sign * 10.0**-rng.uniform(1.0, 16.0) for sign in (-1.0, 1.0) for _ in range(1000)]
+    xs += [math.exp(rng.uniform(-744.0, 709.7)) for _ in range(2000)]
+    for x in xs:
+        us = _chain_list(x, 10**6)
+        m = len(us) - 1
+        assert m < _FREE_STEPS and (x == 1.0 or math.ldexp(us[m], m - _FREE_STEPS) ** 2 >= DBL_MIN), x
 
 
 @settings(max_examples=300, deadline=None)
@@ -749,6 +822,21 @@ def test_log_approx_result_is_an_immutable_record():
     with pytest.raises(AttributeError):
         result.log_value = 1.0
     assert result == LogApproxResult(log_value=0.0, residual=0.0, terms_used=1, tail_estimate=0.0, converged=True)
+
+
+def test_results_and_trace_rows_keep_their_record_types():
+    # The property tests compare tuple(row), which a plain tuple would pass too.  trace(x, 80) has rows on both
+    # sides of the cutoff m (m = 0 next to 1), and at DBL_MAX every S_k is closed as (x - 1) - D_k.
+    for x in (1e-300, 0.3, math.nextafter(1.0, 0.0), 1.0, 2.0, 1e8, DBL_MAX):
+        assert len(_chain_list(x, 80)) <= 80  # m < 80
+        results = [eval_log(x), eval_log(x, EvalConfig(tol=1.0, max_terms=3))]
+        for cls, records in ((LogApproxResult, results), (TraceRow, trace(x, 80))):
+            for record in records:
+                assert type(record) is cls, x
+                assert repr(record) == repr(cls(*record)) and record == cls(**record._asdict())
+                assert tuple(record._asdict()) == cls._fields
+                replaced = record._replace(**{cls._fields[0]: record[0]})
+                assert type(replaced) is cls and repr(replaced) == repr(record)
 
 
 @pytest.mark.parametrize(
