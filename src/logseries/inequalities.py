@@ -182,8 +182,8 @@ def _concavity(x: float, y: float, lam: float) -> float:
 
 
 def amgm_check(values: Sequence[float]) -> AmgmReport:
-    """Compare the arithmetic mean with exp(mean of logs) for values > 0."""
-    if isinstance(values, (str, bytes)):
+    """Compare the arithmetic mean with exp(mean of logs) for values > 0; TypeError for a str, bytes or bytearray."""
+    if isinstance(values, (str, bytes, bytearray)):
         raise TypeError("values must be a sequence of positive numbers, not a string")
     vs = [_positive_value(v) for v in values]
     if not vs:

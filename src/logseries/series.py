@@ -26,18 +26,18 @@ the computed logarithm.  Once the repeated root r reaches [1/2, 1) the
 subtraction r - 1 is exact (Sterbenz) and the recurrence takes over.
 
 Every public function here validates x once and is then a view over one
-of two passes over the chain.  The sum pass :func:`_walk` carries u_k, the
-term 2**(k-1) * u_k**2 (the power of two kept by doubling, so scaling by it
-is exact), the running sum S_k and the stopping test, and returns
-(k, D_k, S_k, 2 * term_k), with D_k and the closure S_k = (x - 1) - D_k of
-a sum past the float range formed at its one return.  Seeding steps take a
-loop of their own, and the recurrence loop tests neither for seeding nor
-for the cutoff m below.  The chain list :func:`_chain` takes the same
-steps and forms no term: it holds u_0..u_j, j = min(n, m), and
-:func:`trace` sums its rows from it.  The quotient and the tail ratio
-read D_j = 2**j * u_j from its last entry (2**k * term_k = D_k**2 / 2).
-Trace rows give the chain publicly: ``[(r.k, r.u) for r in trace(x, n)]``
-is u_0..u_n.  The chain ends at the first step m whose denominator
+of two passes over the chain, which take the same steps.  The sum pass
+:func:`_walk` carries u_k, the term 2**(k-1) * u_k**2 (the power of two
+kept by doubling, so scaling by it is exact), the running sum S_k and the
+stopping test, and returns (k, D_k, S_k, 2 * term_k), with D_k and the
+closure S_k = (x - 1) - D_k of a sum past the float range formed at its
+one return.  The chain list :func:`_chain` forms no term: it holds
+u_0..u_j, j = min(n, _FREE_STEPS), and :func:`trace` sums its rows from
+it.  The quotient and the tail ratio read D_j = 2**j * u_j from its last
+entry (2**k * term_k = D_k**2 / 2).  Trace rows give the chain publicly:
+``[(r.k, r.u) for r in trace(x, n)]`` is u_0..u_n.  In both passes
+seeding takes a loop of its own, and the recurrence loop tests neither
+for seeding nor for the cutoff m, the first step whose denominator
 sqrt(1 + u_m) + 1 rounds to exactly 2, once |u_m| is below about 2**-52.
 u only shrinks toward 0 from there, and rounding is monotone, so every
 later denominator is 2 as well and every later step is an exact halving.
@@ -45,16 +45,13 @@ The rest of the chain is therefore scaling by powers of two:
 
     u_k = u_m * 2**(m-k),  term_k = u_m**2 * 2**(2m-k-1),  D_k = 2**m * u_m
 
-for k >= m.  These are the doubles the step-by-step chain gives while
-u_k**2 is a normal double, and they stay right where that chain would
-underflow (it gives D_1100 = 0 at x = 2).  D_k is constant past m
-because the true D_k = log(x) * (1 + u_k/2 + ...) moves by a relative
-u_k/2 or less, which past |u_m| < 2**-52 is below half an ulp.  The chain
-list takes at most about 70 steps for any x and n.  The sum pass steps on
-past m without looking for it: a step there halves u exactly, the u_k,
-term_k and D_k of the scaling while u_k**2 is normal, which holds up to
-k = 458 (the smallest nonzero |u_m| is 2**-53).  It scales from
-k = _FREE_STEPS = 400 on.
+for k >= m.  D_k is constant past m because the true
+D_k = log(x) * (1 + u_k/2 + ...) moves by a relative u_k/2 or less, which
+past |u_m| < 2**-52 is below half an ulp.  m is at most 63, so both
+passes step on past it to the one hand-off k = _FREE_STEPS = 80, where a
+step still gives the doubles of the scaling, and scale u_j from there.
+That stays right where the step-by-step chain would underflow (it gives
+D_1100 = 0 at x = 2).
 
 The inequality checks need log(x) alone, and :func:`_log` gives it by
 closing the chain's tail instead of summing it (Briggs' repeated-root
@@ -219,10 +216,12 @@ MAX_TRACE_N = 10000
 # u_n < -1/2 bounds no tail, and there the estimate is inf.
 _TAIL_FACTOR = 2.0
 
-# The recurrence loop of :func:`_walk` takes at most this many steps and does not test for the cutoff m: past it
-# every step halves u exactly, which gives the u_k, term_k and D_k of scaling u_m while u_k**2 is normal.  The
-# smallest nonzero |u_m| is 2**-53 (u_0 at x = nextafter(1, 0)), so u_k**2 >= 2**-1022 up to k = 458.
-_FREE_STEPS = 400
+# Both recurrence loops, of :func:`_walk` and :func:`_chain`, take at most this many steps and then hand off to
+# scaling, with no test for the cutoff m.  m <= 63 for every double x: |u| <= 2**-53 rounds sqrt(1 + u) + 1 to 2,
+# and u_k is log(x) * 2**-k to first order with |log x| < 745 < 2**9.55 (the largest m measured is 62).  A step past
+# m halves u exactly, the double the scaling gives while u_k**2 is normal: the smallest nonzero |u_m| is 2**-53
+# (x = nextafter(1, 0)), so that holds to k = 458, and any bound from 63 to 458 gives the same doubles.
+_FREE_STEPS = 80
 _new = tuple.__new__  # builds a record from a tuple of its fields, as the namedtuple's _make does
 _sqrt = math.sqrt
 _ldexp = math.ldexp
@@ -248,10 +247,10 @@ def decrement_step(u: float) -> float:
 def _walk(x: float, n: int, tol: float = 0.0) -> tuple:
     """The sum pass over terms 1..n at x (not checked): (k, D_k, S_k, 2 * term_k).
 
-    Seeding steps while r < 1/2, then recurrence steps, to the first k with 2 * term_k <= tol, to n or to
-    _FREE_STEPS, stepping on past the cutoff m, where each step halves u exactly; then j = k, and while the tail
-    exceeds tol, terms j+1..n scale u_j (at tol = 0 until one underflows to 0.0, by about k = 1100).  The tail is
-    inf while a seeding step leaves u_k < -1/2.
+    Seeding steps while r < 1/2, then recurrence steps, to the first k with 2 * term_k <= tol or to
+    min(n, _FREE_STEPS), the hand-off it shares with :func:`_chain`; then j = k, and while the tail exceeds tol,
+    terms j+1..n scale u_j (at tol = 0 until one underflows to 0.0, by about k = 1100).  The tail is inf while a
+    seeding step leaves u_k < -1/2.
     """
     sqrt = _sqrt
     r = x
@@ -297,19 +296,16 @@ def _walk(x: float, n: int, tol: float = 0.0) -> tuple:
 
 
 def _chain(x: float, n: int) -> list:
-    """The chain alone at x (not checked): [u_0, .., u_j] for j = min(n, m), by the steps of :func:`_walk`."""
-    sqrt = math.sqrt
+    """The chain alone at x (not checked): [u_0, .., u_j], j = min(n, _FREE_STEPS), by the steps of :func:`_walk`."""
+    sqrt = _sqrt
     r = x
     us = [x - 1.0]
     while r < 0.5 and len(us) <= n:
         r = sqrt(r)
         us.append(r - 1.0)
     u = us[-1]
-    for _ in range(len(us), n + 1):
-        d = sqrt(1.0 + u) + 1.0
-        if d == 2.0:
-            break
-        u /= d
+    for _ in range(len(us), (n if n < _FREE_STEPS else _FREE_STEPS) + 1):
+        u /= sqrt(1.0 + u) + 1.0
         us.append(u)
     return us
 
@@ -416,22 +412,22 @@ def trace(x: float, n: int) -> list[TraceRow]:
     if n > MAX_TRACE_N:
         raise ValueError(f"n must be at most {MAX_TRACE_N}, got {n}")
     us = _chain(xv, n)
-    m = len(us) - 1
+    j = len(us) - 1
     u = d = us[0]
     rows = [_new(TraceRow, (0, u, 0.0, 0.0, d))]
     s = 0.0
     p = 0.5  # 2**(k-1) by doubling, as in _walk: u * u * p and u * (p + p) are exact scalings
-    for k in range(1, m + 1):
+    for k in range(1, j + 1):
         u = us[k]
         p += p
         t = u * u * p
         s += t
         d = u * (p + p)
         rows.append(_new(TraceRow, (k, u, t, s, d)))
-    for k in range(m + 1, n + 1):  # past m, u_k = ldexp(u_m, m - k), term_k = ldexp(u_m**2, 2m - k - 1), D_k = D_m
-        t = _ldexp(u * u, 2 * m - k - 1)
+    for k in range(j + 1, n + 1):  # past j >= m, u_k = ldexp(u_j, j - k), term_k = ldexp(u_j**2, 2j - k - 1), D_k = D_j
+        t = _ldexp(u * u, 2 * j - k - 1)
         s += t
-        rows.append(_new(TraceRow, (k, _ldexp(u, m - k), t, s, d)))
+        rows.append(_new(TraceRow, (k, _ldexp(u, j - k), t, s, d)))
     if not math.isfinite(s):
         # Past the float range x - 1 dwarfs D_k = log(x), so S_k = (x - 1) - D_k cancels nothing.
         rows = [_new(TraceRow, (k, u, t, (xv - 1.0) - d, d)) for k, u, t, _, d in rows]

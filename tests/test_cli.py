@@ -108,11 +108,9 @@ def test_trace_validation_exits_one(run_main):
 
 
 def test_check_tangent_at_point(run_main):
-    status, out, _ = run_main("check", "tangent", "--x", "1")
-    assert status == 0
-    assert "tangent_line_gap(1) = 0" in out
-    assert "PASS" in out
-    assert run_main("check", "tangent", "--x", "2")[0] == 0
+    # The value line, then PASS and no FAIL line.
+    assert run_main("check", "tangent", "--x", "1") == (0, "tangent_line_gap(1) = 0\nPASS\n", "")
+    assert run_main("check", "tangent", "--x", "2") == (0, "tangent_line_gap(2) = 0.30685281944005471\nPASS\n", "")
 
 
 def test_check_amgm_golden(run_child):
@@ -129,9 +127,9 @@ def test_eval_golden_x4(run_main):
 
 
 def test_check_concavity_at_point(run_main):
-    status, out, _ = run_main("check", "concavity", "--values", "1,4,0.5")
-    assert status == 0
-    assert "PASS" in out
+    assert run_main("check", "concavity", "--values", "1,4,0.5") == (
+        0, "concavity_check(1, 4, 0.5) = 0.22314355131420971\nPASS\n", ""
+    )
 
 
 def test_check_concavity_sweep_prints_the_library_sweep(run_main):
@@ -282,16 +280,16 @@ def test_check_amgm_constant_vector_failure_exits_two(monkeypatch, run_main):
 
 
 def test_check_amgm_constant_vector_failure_after_failed_sweep(monkeypatch, run_main):
-    # The constant-vector FAIL line is printed only when the sweep passed.
-    monkeypatch.setattr(cli, "amgm_check", lambda values: AmgmReport(1.0, 1.0, True, False))
+    # The constant-vector FAIL line is printed only when the sweep passed.  A failed sweep fails the check
+    # (exit 2, no PASS) also where every constant vector is flagged as equality.
     monkeypatch.setattr(cli, "sweep_amgm", lambda seed: _failed_sweep("amgm_check"))
-    assert run_main("check", "amgm") == (
-        2,
+    sweep_lines = (
         "amgm_check: checked=1 min_margin=-1 threshold=-1e-12 violations=1\n"
         "FAIL: amgm_check at (2.0,) with margin -1\n"
-        "constant_vectors: checked=80 equality_failures=80\n",
-        "",
     )
+    assert run_main("check", "amgm") == (2, sweep_lines + "constant_vectors: checked=80 equality_failures=0\n", "")
+    monkeypatch.setattr(cli, "amgm_check", lambda values: AmgmReport(1.0, 1.0, True, False))
+    assert run_main("check", "amgm") == (2, sweep_lines + "constant_vectors: checked=80 equality_failures=80\n", "")
 
 
 def test_parser_defaults_are_the_librarys():
@@ -359,8 +357,12 @@ def test_bench_deterministic_apart_from_timing(run_main):
 
 
 def test_bench_grid_errors_exit_one(run_main):
-    for grid in ("1:2", "0:1:3", "1:2:0", "a:b:3", "1:2:2.5"):
+    for grid in ("1:2", "0:1:3", "1:2:0", "1:2:-1", "a:b:3", "1:2:2.5"):
         assert run_main("bench", "--grid", grid)[0] == 1
+    for count in ("0", "-1"):
+        status, _, err = run_main("bench", "--grid", f"1:2:{count}")
+        assert status == 1
+        assert err == f"logseries: error: --grid count must be >= 1, got {count}\n"
     status, _, err = run_main("bench", "--grid", "1:inf:3")
     assert status == 1
     assert "--grid bounds must be positive and finite, got inf" in err
@@ -375,7 +377,9 @@ def test_bench_grid_count_above_bound_exits_one(run_main):
 
 
 def test_bench_nonconvergence_exits_two(run_main):
-    assert run_main("bench", "--grid", "2:2:1", "--tol", "1e-30", "--format", "csv")[0] == 2
+    # Any point that does not converge fails the run, also where the last point converges (x = 1 in one term).
+    for argv in (("--grid", "2:2:1", "--tol", "1e-30"), ("--grid", "1e-300:1:3", "--max-terms", "5")):
+        assert run_main("bench", *argv, "--format", "csv")[0] == 2, argv
 
 
 @pytest.mark.skipif(

@@ -300,8 +300,10 @@ def test_amgm_validation():
         amgm_check([2.0, -1.0])
     with pytest.raises(ValueError):
         amgm_check([0.0])
-    with pytest.raises(TypeError):
-        amgm_check("2,8")
+    # Text and bytes iterate as characters or small ints, not as the numbers they spell: refused, not read.
+    for text in ("2,8", b"\x02\x08", bytearray(b"28")):
+        with pytest.raises(TypeError):
+            amgm_check(text)
 
 
 def test_amgm_scale_covariance():

@@ -532,8 +532,21 @@ def _reference_eval_log(x, cfg=EvalConfig()):
     return (log_value, s, n, tail, tail <= cfg.tol)
 
 
+def _chain_to_cutoff(x):
+    """u_0..u_m step by step, m the cutoff: the first step whose denominator sqrt(1 + u_m) + 1 rounds to exactly 2."""
+    us = []
+    r = x
+    while r < 0.5:
+        us.append(r - 1.0)
+        r = math.sqrt(r)
+    us.append(r - 1.0)
+    while math.sqrt(1.0 + us[-1]) + 1.0 != 2.0:
+        us.append(decrement_step(us[-1]))
+    return us
+
+
 def test_walk_stops_where_steps_become_exact_halvings():
-    # The chain list holds u_0..u_j, j = min(n, m), by the steps of the sum pass.
+    # The chain list holds u_0..u_j, j = min(n, _FREE_STEPS), by the steps of the sum pass: past m, all halvings.
     for x in (1e-300, 0.3, 2.0, 1e300):
         us = _chain_list(x, 10**6)
         assert decrement_step(us[-1]) == us[-1] / 2
@@ -541,11 +554,13 @@ def test_walk_stops_where_steps_become_exact_halvings():
 
 
 def test_walk_length_bounded_over_double_range():
-    # A count guard: the walk is O(1) in n, whatever the x.
+    # A count guard: the walk is O(1) in n, whatever the x.  The chain list ends at the hand-off, and the cutoff
+    # m, the last step it needs, comes well before it.
     rng = random.Random(20)
     xs = [5e-324, sys.float_info.min, 0.5, math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0), 2.0, DBL_MAX]
     xs += [math.exp(rng.uniform(-744.0, 709.7)) for _ in range(2000)]
-    assert max(len(_chain_list(x, 10**6)) for x in xs) <= 70
+    assert max(len(_chain_to_cutoff(x)) for x in xs) <= 70
+    assert {len(_chain_list(x, 10**6)) for x in xs} == {_FREE_STEPS + 1}
 
 
 @pytest.mark.parametrize("n", [1070, 1100, 5000])
@@ -637,7 +652,7 @@ SETTLED_AT_1100 = {
 def test_views_across_the_hand_off_from_steps_to_scaling(x):
     # Next to 1 the cutoff comes at m = 0 and |u_m| is smallest; the sum pass steps to _FREE_STEPS and scales
     # from there.  Up to n = 458 the stepwise chain's u_k**2 is normal, and the views match it bit for bit.
-    for n in (_FREE_STEPS - 1, _FREE_STEPS, _FREE_STEPS + 1, 458):
+    for n in (_FREE_STEPS - 1, _FREE_STEPS, _FREE_STEPS + 1, 400, 458):
         rows = _reference_rows(x, n)
         assert all(u == 0.0 or u * u >= DBL_MIN for _, u, *_ in rows)
         cfg = EvalConfig(tol=5e-324, max_terms=n)
@@ -655,13 +670,19 @@ def test_views_across_the_hand_off_from_steps_to_scaling(x):
 def test_free_steps_keep_the_squares_normal():
     # A step past the cutoff m halves u exactly, the double the scaling gives, while u_k**2 is normal.  u_k is
     # u_m * 2**(m - k), so the smallest square of the free steps is at k = _FREE_STEPS (u stays 0 at x = 1).
+    # The premise m < _FREE_STEPS is checked on every power of two and both its neighbours and on the
+    # subnormal multiples of 5e-324 up to 2**-1064, as well as on the draws.
     rng = random.Random(33)
     xs = [5e-324, DBL_MIN, 0.5, 2.0, DBL_MAX]
+    for e in range(-1074, 1024):
+        p = math.ldexp(1.0, e)
+        xs += [y for y in (p, math.nextafter(p, 0.0), math.nextafter(p, math.inf)) if y > 0.0]
+    xs += [k * 5e-324 for k in range(1, 1025)]
     xs += [1.0 + k * 2.0**-53 for k in range(-300, 0)] + [1.0 + k * 2.0**-52 for k in range(1, 301)]
     xs += [1.0 + sign * 10.0**-rng.uniform(1.0, 16.0) for sign in (-1.0, 1.0) for _ in range(1000)]
     xs += [math.exp(rng.uniform(-744.0, 709.7)) for _ in range(2000)]
     for x in xs:
-        us = _chain_list(x, 10**6)
+        us = _chain_to_cutoff(x)
         m = len(us) - 1
         assert m < _FREE_STEPS and (x == 1.0 or math.ldexp(us[m], m - _FREE_STEPS) ** 2 >= DBL_MIN), x
 
@@ -825,12 +846,13 @@ def test_log_approx_result_is_an_immutable_record():
 
 
 def test_results_and_trace_rows_keep_their_record_types():
-    # The property tests compare tuple(row), which a plain tuple would pass too.  trace(x, 80) has rows on both
-    # sides of the cutoff m (m = 0 next to 1), and at DBL_MAX every S_k is closed as (x - 1) - D_k.
+    # The property tests compare tuple(row), which a plain tuple would pass too.  trace(x, _FREE_STEPS + 1) has
+    # rows on both sides of the cutoff m (m = 0 next to 1) and of the hand-off from steps to scaling, and at
+    # DBL_MAX every S_k is closed as (x - 1) - D_k.
     for x in (1e-300, 0.3, math.nextafter(1.0, 0.0), 1.0, 2.0, 1e8, DBL_MAX):
-        assert len(_chain_list(x, 80)) <= 80  # m < 80
+        assert len(_chain_to_cutoff(x)) <= 80  # m < 80
         results = [eval_log(x), eval_log(x, EvalConfig(tol=1.0, max_terms=3))]
-        for cls, records in ((LogApproxResult, results), (TraceRow, trace(x, 80))):
+        for cls, records in ((LogApproxResult, results), (TraceRow, trace(x, _FREE_STEPS + 1))):
             for record in records:
                 assert type(record) is cls, x
                 assert repr(record) == repr(cls(*record)) and record == cls(**record._asdict())
